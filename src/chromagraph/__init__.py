@@ -15,7 +15,7 @@ from .coloring import (ChromaticVector, Coloring, ColoringMismatchError,
                        ImproperColoringError, ProjectionResult, SimilarityResult,
                        check_properness, chromatic_similarity, color_graph, embed_text,
                        load_coloring, project_coloring, save_coloring, similarity_matrix,
-                       tag_distribution_by_color, undirected_neighbors)
+                       tag_distribution_by_color)
 from .corpus import (Corpus, CorpusFormatError, Document, IngestConfig, load_corpus,
                      load_labeled_corpus, read_stopwords, tokenize)
 from .graph import (BigramGraph, DegreeView, build_graph, degree_view, load_graph,
@@ -87,5 +87,4 @@ __all__ = [
     "tfidf_embed",
     "tfidf_fit",
     "tokenize",
-    "undirected_neighbors",
 ]

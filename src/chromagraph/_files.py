@@ -1,11 +1,11 @@
-"""Shared artifact-file plumbing: canonical JSON, atomic writes, hashing."""
+"""Shared artifact-file plumbing: canonical JSON, atomic writes, reads, hashing."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
-import tempfile
+import secrets
 from pathlib import Path
 
 
@@ -27,12 +27,14 @@ def atomic_write_bytes(path, data: bytes) -> None:
     """Write ``data`` via a same-directory temp file and rename.
 
     A partially written file is never left behind under the final name.
+    The file gets the mode a plain ``open(path, "wb")`` gives, so it
+    follows the umask.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with open(tmp, "xb") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -41,6 +43,19 @@ def atomic_write_bytes(path, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def read_json(path):
+    """Parse a JSON artifact file as UTF-8.
+
+    Undecodable bytes and malformed JSON raise SchemaError naming the path.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not valid UTF-8: {exc.reason}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc.msg}") from exc
 
 
 def sha256_hex(data: bytes) -> str:

@@ -27,6 +27,7 @@ import os
 import random
 import sys
 import time
+import zlib
 from pathlib import Path
 
 from ._files import SchemaError, atomic_write_bytes, canonical_json_bytes, sha256_file, sha256_hex
@@ -48,6 +49,20 @@ _CONFIG_KEYS = ("lowercase", "stopwords", "punctuation", "text_field", "label_fi
 
 class UsageError(ValueError):
     """Bad flag combination or bad --config content."""
+
+
+# The first matching type gives the exit code, so every ValueError
+# subclass comes before ValueError itself.
+_EXIT_CODES = (
+    (UsageError, 2),
+    (CorpusFormatError, 4),
+    (SchemaError, 5),
+    (ColoringMismatchError, 6),
+    (KCoreError, 7),
+    (WalkerError, 7),
+    (OSError, 3),
+    (ValueError, 2),
+)
 
 
 def _read_config_file(path) -> dict:
@@ -100,13 +115,16 @@ def _config_summary(config: IngestConfig) -> dict:
     }
 
 
-def _write_manifest(command: str, options: dict, inputs, outputs, seed, t0) -> None:
+_SEEDED_COMMANDS = ("generate", "classify")
+
+
+def _write_manifest(args, options: dict, inputs, outputs, t0) -> None:
     manifest = {
-        "command": command,
+        "command": args.command,
         "options": options,
-        "inputs": {str(p): sha256_file(p) for p in inputs},
+        "inputs": {str(p): sha256_file(p) for p in [*inputs, *_input_files(args)]},
         "outputs": [str(p) for p in outputs],
-        "seed": seed,
+        "seed": args.seed if args.command in _SEEDED_COMMANDS else None,
         "wall_time_s": round(time.perf_counter() - t0, 6),
     }
     atomic_write_bytes(str(outputs[0]) + ".manifest.json", canonical_json_bytes(manifest))
@@ -142,46 +160,45 @@ def _build_graph_cached(path, format: str, config: IngestConfig, source_id) -> B
     raw = Path(path).read_bytes()
     key = _cache_key(raw, format, source_id, config)
     cache_path = Path(cache_dir) / f"graph-{key}.json.gz"
-    if cache_path.exists():
+    try:
         payload = json.loads(gzip.decompress(cache_path.read_bytes()).decode("utf-8"))
         return graph_from_payload(payload, str(cache_path))
+    except (OSError, EOFError, ValueError, zlib.error):
+        pass  # an absent or corrupt entry is a miss: rebuild and rewrite it
     graph = build_graph(load_corpus(path, format, config, source_id))
     atomic_write_bytes(cache_path, gzip.compress(graph.canonical_bytes()))
     return graph
 
 
 def _cmd_build(args):
-    t0 = time.perf_counter()
     config = _ingest_config(args)
     graph = _build_graph_cached(args.corpus, args.format, config, args.source_id)
     save_graph(graph, args.output)
-    _write_manifest("build", {
+    return {
         "format": args.format,
         "source_id": graph.source_id,
         "ingest": _config_summary(config),
         "nodes": graph.node_count,
         "edges": graph.edge_count,
-    }, [args.corpus, *_input_files(args)], [args.output], None, t0)
+    }, [args.corpus], [args.output]
 
 
 # -- color ------------------------------------------------------------------
 
 def _cmd_color(args):
-    t0 = time.perf_counter()
     graph = load_graph(args.graph)
     coloring = color_graph(graph, args.strategy)
     save_coloring(coloring, args.output)
-    _write_manifest("color", {
+    return {
         "strategy": args.strategy,
         "num_colors": coloring.num_colors,
         "algorithm_id": coloring.algorithm_id,
-    }, [args.graph, *_input_files(args)], [args.output], None, t0)
+    }, [args.graph], [args.output]
 
 
 # -- kcore ------------------------------------------------------------------
 
 def _cmd_kcore(args):
-    t0 = time.perf_counter()
     if args.max == (args.k is not None):
         raise UsageError("pass exactly one of --k N or --max")
     graph = load_graph(args.graph)
@@ -193,18 +210,17 @@ def _cmd_kcore(args):
     vocab_path = args.vocab_output or str(args.output) + ".vocab.txt"
     atomic_write_bytes(vocab_path, ("\n".join(sorted(core.retained)) + "\n").encode("utf-8")
                        if core.retained else b"")
-    _write_manifest("kcore", {
+    return {
         "k": core.k,
         "max": args.max,
         "largest_component": args.largest_component,
         "degeneracy": decomp.degeneracy,
-    }, [args.graph, *_input_files(args)], [args.output, vocab_path], None, t0)
+    }, [args.graph], [args.output, vocab_path]
 
 
 # -- psi --------------------------------------------------------------------
 
 def _cmd_psi(args):
-    t0 = time.perf_counter()
     if not args.pair:
         raise UsageError("pass at least one --pair GRAPH COLORING")
     items = []
@@ -224,9 +240,7 @@ def _cmd_psi(args):
     for name, row in zip(ids, matrix):
         writer.writerow([name] + [repr(v) for v in row])
     atomic_write_bytes(args.output, buf.getvalue().encode("utf-8"))
-    inputs = [p for pair in args.pair for p in pair]
-    _write_manifest("psi", {"pairs": len(items)}, inputs + _input_files(args),
-                    [args.output], None, t0)
+    return {"pairs": len(items)}, [p for pair in args.pair for p in pair], [args.output]
 
 
 # -- embed / project --------------------------------------------------------
@@ -240,39 +254,36 @@ def _vectors_jsonl(docs, vectors) -> bytes:
 
 
 def _cmd_embed(args):
-    t0 = time.perf_counter()
     config = _ingest_config(args)
     coloring = load_coloring(args.coloring)
     corpus = load_corpus(args.corpus, args.format, config)
     vectors = [embed_text(doc, coloring) for doc in corpus.docs]
     atomic_write_bytes(args.output, _vectors_jsonl(corpus.docs, vectors))
-    _write_manifest("embed", {
+    return {
         "format": args.format,
         "ingest": _config_summary(config),
         "documents": len(corpus.docs),
-    }, [args.coloring, args.corpus, *_input_files(args)], [args.output], None, t0)
+    }, [args.coloring, args.corpus], [args.output]
 
 
 def _cmd_project(args):
-    t0 = time.perf_counter()
     config = _ingest_config(args)
     coloring = load_coloring(args.coloring)
     corpus = load_corpus(args.corpus, args.format, config)
     result = project_coloring(coloring, corpus)
     atomic_write_bytes(args.output, _vectors_jsonl(corpus.docs, result.vectors))
     print(f"coverage {result.coverage:.6f}")
-    _write_manifest("project", {
+    return {
         "format": args.format,
         "ingest": _config_summary(config),
         "documents": len(corpus.docs),
         "coverage": result.coverage,
-    }, [args.coloring, args.corpus, *_input_files(args)], [args.output], None, t0)
+    }, [args.coloring, args.corpus], [args.output]
 
 
 # -- generate ---------------------------------------------------------------
 
 def _cmd_generate(args):
-    t0 = time.perf_counter()
     graph = load_graph(args.graph)
     coloring = load_coloring(args.coloring)
     config = WalkerConfig(
@@ -295,7 +306,7 @@ def _cmd_generate(args):
         "seed": args.seed,
     }
     atomic_write_bytes(args.output, canonical_json_bytes(payload))
-    _write_manifest("generate", {
+    return {
         "sentence_len": args.sentence_len,
         "protocol": args.protocol,
         "beta_alpha": args.beta_alpha,
@@ -303,7 +314,7 @@ def _cmd_generate(args):
         "max_hops": args.max_hops,
         "max_retries": args.max_retries,
         "append_final_word": not args.drop_final_word,
-    }, [args.graph, args.coloring, *_input_files(args)], [args.output], args.seed, t0)
+    }, [args.graph, args.coloring], [args.output]
 
 
 # -- compare ----------------------------------------------------------------
@@ -313,7 +324,6 @@ def _pair_vector(matrix, n):
 
 
 def _cmd_compare(args):
-    t0 = time.perf_counter()
     if len(args.corpora) < 2:
         raise UsageError("compare needs at least two corpora")
     config = _ingest_config(args)
@@ -352,18 +362,17 @@ def _cmd_compare(args):
         "correlation": correlation,
     }
     atomic_write_bytes(args.output, canonical_json_bytes(report))
-    _write_manifest("compare", {
+    return {
         "format": args.format,
         "strategy": args.strategy,
         "ingest": _config_summary(config),
         "corpora": len(corpora),
-    }, list(args.corpora) + _input_files(args), [args.output], None, t0)
+    }, args.corpora, [args.output]
 
 
 # -- classify ---------------------------------------------------------------
 
 def _cmd_classify(args):
-    t0 = time.perf_counter()
     if not 0.0 < args.test_fraction < 1.0:
         raise UsageError("--test-fraction must be in (0, 1)")
     config = _ingest_config(args)
@@ -411,13 +420,13 @@ def _cmd_classify(args):
         "kcore": kcore_info,
     })
     atomic_write_bytes(args.output, canonical_json_bytes(report))
-    _write_manifest("classify", {
+    return {
         "format": args.format,
         "ingest": _config_summary(config),
         "kcore_reduce": args.kcore_reduce,
         "test_fraction": args.test_fraction,
         "alpha": args.alpha,
-    }, [args.corpus, *_input_files(args)], [args.output], args.seed, t0)
+    }, [args.corpus], [args.output]
 
 
 # -- tagdist ----------------------------------------------------------------
@@ -435,7 +444,6 @@ def _read_annotations(path) -> dict[str, str]:
 
 
 def _cmd_tagdist(args):
-    t0 = time.perf_counter()
     coloring = load_coloring(args.coloring)
     annotations = _read_annotations(args.annotations)
     dist = tag_distribution_by_color(coloring, annotations)
@@ -444,9 +452,7 @@ def _cmd_tagdist(args):
         "distributions": {str(color): hist for color, hist in dist.items()},
     }
     atomic_write_bytes(args.output, canonical_json_bytes(payload))
-    _write_manifest("tagdist", {"annotated_tokens": len(annotations)},
-                    [args.coloring, args.annotations, *_input_files(args)],
-                    [args.output], None, t0)
+    return {"annotated_tokens": len(annotations)}, [args.coloring, args.annotations], [args.output]
 
 
 # -- parser -----------------------------------------------------------------
@@ -541,33 +547,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and write its manifest; map known errors to exit codes.
+
+    Each handler returns its manifest options, the input files it read
+    beyond --config/--stopwords, and its output files, primary first.
+    """
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        args.handler(args)
-    except UsageError as exc:
+        _write_manifest(args, *args.handler(args), t0)
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CorpusFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except ColoringMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except (KCoreError, WalkerError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 7
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     return 0
 
 

@@ -1,23 +1,22 @@
 """Graph coloring and the analytics derived from color labels.
 
 Coloring is greedy and deterministic: nodes are visited in a fixed
-strategy order and each gets the smallest color not used by any
-undirected neighbor. Determinism is what makes labels comparable
-across graphs colored with the same strategy, which the similarity
-coefficient and cross-corpus projection rely on.
+strategy order and each gets the smallest color not used by any node
+in its ``BigramGraph.arcs``, so edge direction is ignored. Degree is
+the graph's own ``BigramGraph.degree``. Determinism is what makes
+labels comparable across graphs colored with the same strategy, which
+the similarity coefficient and cross-corpus projection rely on.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
-from ._files import SchemaError, atomic_write_bytes, canonical_json_bytes
+from ._files import SchemaError, atomic_write_bytes, canonical_json_bytes, read_json
 from .corpus import Corpus, Document
-from .graph import BigramGraph, degree_view
+from .graph import BigramGraph
 
 __all__ = [
     "COLORING_SCHEMA_VERSION",
@@ -38,7 +37,6 @@ __all__ = [
     "save_coloring",
     "similarity_matrix",
     "tag_distribution_by_color",
-    "undirected_neighbors",
 ]
 
 STRATEGIES = ("degree_desc", "lexicographic")
@@ -114,16 +112,6 @@ class ProjectionResult:
     coverage: float
 
 
-def undirected_neighbors(g: BigramGraph) -> dict[str, frozenset[str]]:
-    """Neighbor sets ignoring edge direction and self-loops."""
-    adj: dict[str, set[str]] = {v: set() for v in g.nodes}
-    for src, dst in g.edges:
-        if src != dst:
-            adj[src].add(dst)
-            adj[dst].add(src)
-    return {v: frozenset(ns) for v, ns in adj.items()}
-
-
 def check_properness(g: BigramGraph, labels: Mapping[str, int]) -> None:
     """Exhaustively verify a proper coloring over all edges.
 
@@ -143,7 +131,7 @@ def check_properness(g: BigramGraph, labels: Mapping[str, int]) -> None:
 def color_graph(g: BigramGraph, strategy: str = "degree_desc") -> Coloring:
     """Greedily color the undirected simplification of ``g``.
 
-    ``degree_desc`` visits nodes by total degree descending (ties broken
+    ``degree_desc`` visits nodes by ``g.degree`` descending (ties broken
     lexicographically); ``lexicographic`` visits in token order. The
     result is deterministic for a given graph and strategy, and its
     properness is verified before returning. An empty graph yields an
@@ -151,15 +139,13 @@ def color_graph(g: BigramGraph, strategy: str = "degree_desc") -> Coloring:
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown coloring strategy: {strategy!r} (expected one of {STRATEGIES})")
-    adj = undirected_neighbors(g)
     if strategy == "degree_desc":
-        totals = degree_view(g).total_degree
-        order = sorted(g.nodes, key=lambda t: (-totals[t], t))
+        order = sorted(g.nodes, key=lambda t: (-g.degree(t), t))
     else:
         order = sorted(g.nodes)
     labels: dict[str, int] = {}
     for node in order:
-        used = {labels[u] for u in adj[node] if u in labels}
+        used = {labels[u] for u in g.arcs(node) if u in labels}
         color = 0
         while color in used:
             color += 1
@@ -271,10 +257,7 @@ def save_coloring(coloring: Coloring, path) -> None:
 def load_coloring(path) -> Coloring:
     """Load a coloring file, enforcing the label-range invariants."""
     name = str(path)
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{name}: not valid JSON: {exc.msg}") from exc
+    payload = read_json(path)
     if not isinstance(payload, dict):
         raise SchemaError(f"{name}: coloring file must hold a JSON object")
     if payload.get("version") != COLORING_SCHEMA_VERSION:

@@ -130,7 +130,8 @@ def load_corpus(path, format: str = "plain", config: IngestConfig | None = None,
     The returned corpus has one document per input record, in input
     order; records that tokenize to nothing are kept as empty documents.
     Raises FileNotFoundError for a missing file, CorpusFormatError (with
-    a line number) for malformed records, ValueError for unknown formats.
+    a line number) for malformed records or bytes that are not UTF-8,
+    ValueError for unknown formats.
     """
     config = config or IngestConfig()
     records = _read_records(path, format, config, with_labels=False)
@@ -153,8 +154,14 @@ def load_labeled_corpus(path, format: str = "csv", config: IngestConfig | None =
 def _read_records(path, format, config, with_labels):
     if format not in FORMATS:
         raise ValueError(f"unknown corpus format: {format!r} (expected one of {FORMATS})")
-    text = Path(path).read_text(encoding="utf-8")
     name = str(path)
+    # universal newlines, as Path.read_text; CR and LF never occur inside a UTF-8 sequence
+    raw = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise CorpusFormatError(f"not valid UTF-8: {exc.reason}", name, line) from exc
     if format == "plain":
         if with_labels:
             raise CorpusFormatError("plain format carries no labels", name)

@@ -11,9 +11,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import pairwise
-from pathlib import Path
 
-from ._files import SchemaError, atomic_write_bytes, canonical_json_bytes, sha256_hex
+from ._files import SchemaError, atomic_write_bytes, canonical_json_bytes, read_json, sha256_hex
 from .corpus import Corpus
 
 __all__ = [
@@ -78,6 +77,19 @@ class BigramGraph:
 
     def predecessors(self, token: str) -> tuple[str, ...]:
         return self._pred.get(token, ())
+
+    def arcs(self, token: str) -> tuple[str, ...]:
+        """Successors then predecessors: one entry per distinct edge end.
+
+        This is the total-degree convention every module shares. A
+        self-loop lists the token twice, and a reciprocal pair lists the
+        neighbour twice.
+        """
+        return self.successors(token) + self.predecessors(token)
+
+    def degree(self, token: str) -> int:
+        """Unweighted total degree: the length of ``arcs(token)``."""
+        return len(self._succ.get(token, ())) + len(self._pred.get(token, ()))
 
     def has_edge(self, src: str, dst: str) -> bool:
         return (src, dst) in self.edges
@@ -169,8 +181,7 @@ def degree_view(g: BigramGraph) -> DegreeView:
     """Per-node unweighted degrees over distinct edges."""
     in_deg = {v: len(g.predecessors(v)) for v in g.nodes}
     out_deg = {v: len(g.successors(v)) for v in g.nodes}
-    total = {v: in_deg[v] + out_deg[v] for v in g.nodes}
-    return DegreeView(in_deg, out_deg, total)
+    return DegreeView(in_deg, out_deg, {v: g.degree(v) for v in g.nodes})
 
 
 def save_graph(g: BigramGraph, path) -> None:
@@ -181,17 +192,11 @@ def save_graph(g: BigramGraph, path) -> None:
 def load_graph(path) -> BigramGraph:
     """Load a graph file; the round trip through save_graph is exact.
 
-    Raises SchemaError on version mismatch, malformed structure,
-    dangling edge endpoints, duplicate edges, or invalid weights.
+    Raises SchemaError on undecodable content, version mismatch,
+    malformed structure, dangling edge endpoints, duplicate edges, or
+    invalid weights.
     """
-    import json
-
-    name = str(path)
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{name}: not valid JSON: {exc.msg}") from exc
-    return graph_from_payload(payload, name)
+    return graph_from_payload(read_json(path), str(path))
 
 
 def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:

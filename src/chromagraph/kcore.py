@@ -1,11 +1,10 @@
 """K-core decomposition and vocabulary reduction.
 
-Degree here is the unweighted total degree of the directed simple
-graph: distinct in-edges plus distinct out-edges, a self-loop counting
-2. The k-core is the maximal subgraph in which every node keeps total
-degree >= k; the decomposition assigns each node the largest k whose
-core still contains it. Peeling the whole graph once gives every core
-number, so extraction for any k is a filter.
+Degree is ``BigramGraph.degree``, the graph's one total-degree
+convention. The k-core is the maximal subgraph in which every node
+keeps degree >= k; the decomposition assigns each node the largest k
+whose core still contains it. Peeling the whole graph once gives every
+core number, so extraction for any k is a filter.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import Corpus, Document
-from .graph import BigramGraph, degree_view
+from .graph import BigramGraph
 
 __all__ = [
     "CoreDecomposition",
@@ -54,16 +53,6 @@ class KCoreSubgraph:
     components: int
 
 
-def _arc_multiset(g: BigramGraph) -> dict[str, list[str]]:
-    """Adjacency where reciprocal arcs contribute one entry each and a
-    self-loop contributes two, matching the total-degree convention."""
-    adj: dict[str, list[str]] = {v: [] for v in g.nodes}
-    for src, dst in g.edges:
-        adj[src].append(dst)
-        adj[dst].append(src)
-    return adj
-
-
 def core_decomposition(g: BigramGraph) -> CoreDecomposition:
     """Compute every node's core number by bucket peeling.
 
@@ -74,8 +63,7 @@ def core_decomposition(g: BigramGraph) -> CoreDecomposition:
     its degree at removal time. Core numbers are order-independent;
     the lexicographic seeding only makes the traversal deterministic.
     """
-    degrees = dict(degree_view(g).total_degree)
-    adj = _arc_multiset(g)
+    degrees = {v: g.degree(v) for v in g.nodes}
     if not degrees:
         return CoreDecomposition({}, 0)
     max_degree = max(degrees.values())
@@ -97,7 +85,7 @@ def core_decomposition(g: BigramGraph) -> CoreDecomposition:
             continue  # stale bucket entry
         core[v] = d
         removed.add(v)
-        for u in adj[v]:
+        for u in g.arcs(v):
             if u not in removed and degrees[u] > d:
                 degrees[u] -= 1
                 buckets[degrees[u]].append(u)
@@ -105,11 +93,6 @@ def core_decomposition(g: BigramGraph) -> CoreDecomposition:
 
 
 def _weak_components(nodes: frozenset[str], g: BigramGraph) -> list[set[str]]:
-    neighbors: dict[str, set[str]] = {v: set() for v in nodes}
-    for src, dst in g.edges:
-        if src in neighbors and dst in neighbors and src != dst:
-            neighbors[src].add(dst)
-            neighbors[dst].add(src)
     seen: set[str] = set()
     components = []
     for start in sorted(nodes):
@@ -120,8 +103,8 @@ def _weak_components(nodes: frozenset[str], g: BigramGraph) -> list[set[str]]:
         seen.add(start)
         while stack:
             v = stack.pop()
-            for u in neighbors[v]:
-                if u not in seen:
+            for u in g.arcs(v):
+                if u in nodes and u not in seen:
                     seen.add(u)
                     comp.add(u)
                     stack.append(u)

@@ -13,8 +13,8 @@ uniform-cost search bounded by ``max_hops``:
 
   min_weight   cost(u, v) = weight(u, v)
   max_weight   cost(u, v) = 1 + W_max - weight(u, v)
-  min_density  cost(u, v) = total_degree(v)
-  max_density  cost(u, v) = 1 + D_max - total_degree(v)
+  min_density  cost(u, v) = degree(v)
+  max_density  cost(u, v) = 1 + D_max - degree(v)
 
 All costs are >= 1, so a cheapest walk never repeats a node and the
 search over (node, hop-count) states is exact for simple paths within
@@ -30,7 +30,7 @@ from heapq import heappop, heappush
 from itertools import pairwise
 
 from .coloring import Coloring, ColoringMismatchError
-from .graph import BigramGraph, degree_view
+from .graph import BigramGraph
 
 __all__ = [
     "GeneratedSentence",
@@ -146,9 +146,8 @@ def sample_color_plan(coloring: Coloring, config: WalkerConfig,
 
 
 def path_density(g: BigramGraph, path) -> int:
-    """Sum of total degrees over every token on the path."""
-    totals = degree_view(g).total_degree
-    return sum(totals[t] for t in path)
+    """Sum of ``g.degree`` over every token on the path."""
+    return sum(g.degree(t) for t in path)
 
 
 def _edge_costs(g: BigramGraph, protocol: str) -> dict[tuple[str, str], int]:
@@ -157,7 +156,7 @@ def _edge_costs(g: BigramGraph, protocol: str) -> dict[tuple[str, str], int]:
     if protocol == "max_weight":
         w_max = max(g.edges.values(), default=0)
         return {e: 1 + w_max - w for e, w in g.edges.items()}
-    totals = degree_view(g).total_degree
+    totals = {v: g.degree(v) for v in g.nodes}
     if protocol == "min_density":
         return {(s, d): totals[d] for s, d in g.edges}
     d_max = max(totals.values(), default=0)

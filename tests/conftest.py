@@ -60,6 +60,16 @@ def random_graph(rng: random.Random, max_nodes: int, *, edge_factor: float = 2.0
     return BigramGraph(tokens, edges, source_id)
 
 
+def neighbor_sets(g: BigramGraph) -> dict[str, set[str]]:
+    """Undirected neighbours of each node, built from the edge list; self-loops left out."""
+    adj: dict[str, set[str]] = {v: set() for v in g.nodes}
+    for src, dst in g.edges:
+        if src != dst:
+            adj[src].add(dst)
+            adj[dst].add(src)
+    return adj
+
+
 _ACCEPTANCE_LABELS = {}
 
 

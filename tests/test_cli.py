@@ -1,5 +1,7 @@
 import csv
+import gzip
 import json
+import os
 import subprocess
 import sys
 
@@ -110,6 +112,50 @@ def test_build_cache_round_trip(tmp_path, pizza_file, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _truncate(data):
+    return data[:len(data) // 2]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda data: b"not gzip at all",
+    _truncate,
+    lambda data: gzip.compress(b"{broken"),
+    lambda data: gzip.compress(b'{"version": 99, "source_id": "", "nodes": [], "edges": []}'),
+], ids=["bad_gzip", "truncated_gzip", "bad_json", "wrong_version"])
+def test_build_corrupt_cache_entry_is_a_miss(tmp_path, pizza_file, monkeypatch, corrupt):
+    plain = build_pizza(tmp_path, pizza_file)
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("CHROMAGRAPH_CACHE_DIR", str(cache))
+    assert run("build", pizza_file, "-o", tmp_path / "first.json") == 0
+    [entry] = cache.glob("graph-*.json.gz")
+    entry.write_bytes(corrupt(entry.read_bytes()))
+    rebuilt = tmp_path / "rebuilt.json"
+    assert run("build", pizza_file, "-o", rebuilt) == 0
+    assert rebuilt.read_bytes() == plain.read_bytes()
+    assert gzip.decompress(entry.read_bytes()) == plain.read_bytes()
+
+
+def test_outputs_follow_umask(tmp_path, pizza_file, monkeypatch):
+    for umask, mode in ((0o022, 0o644), (0o027, 0o640)):
+        out = tmp_path / f"{umask:o}"
+        monkeypatch.setenv("CHROMAGRAPH_CACHE_DIR", str(out / "cache"))
+        previous = os.umask(umask)
+        try:
+            assert run("build", pizza_file, "-o", out / "g.json") == 0
+        finally:
+            os.umask(previous)
+        written = [out / "g.json", out / "g.json.manifest.json", *(out / "cache").glob("*.gz")]
+        assert len(written) == 3
+        assert [os.stat(p).st_mode & 0o777 for p in written] == [mode] * 3
+
+
+def test_build_non_utf8_corpus_exit_4(tmp_path, capsys):
+    src = tmp_path / "latin1.txt"
+    src.write_bytes(b"first line\nsecond line\ncaf\xe9 au lait\n")
+    assert run("build", src, "-o", tmp_path / "g.json") == 4
+    assert f"{src}:3: not valid UTF-8" in capsys.readouterr().err
+
+
 def test_no_temp_files_left_behind(tmp_path, pizza_file):
     build_pizza(tmp_path, pizza_file)
     assert not list(tmp_path.glob("*.tmp"))
@@ -127,6 +173,13 @@ def test_color_rejects_bad_schema_exit_5(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"version": 99}', encoding="utf-8")
     assert run("color", bad, "-o", tmp_path / "c.json") == 5
+
+
+def test_color_non_utf8_graph_exit_5(tmp_path, capsys):
+    bad = tmp_path / "graph.json"
+    bad.write_bytes(b'{"version": 1, "source_id": "\xff", "nodes": [], "edges": []}')
+    assert run("color", bad, "-o", tmp_path / "c.json") == 5
+    assert f"{bad}: not valid UTF-8" in capsys.readouterr().err
 
 
 def test_kcore_max_report(tmp_path, pizza_file):
@@ -184,6 +237,13 @@ def test_embed_command(tmp_path, pizza_file):
     assert lines[0]["tokens"] == ["i", "love", "eating", "pizza"]
     assert len(lines[0]["values"]) == 4
     assert all(v >= 0 for v in lines[0]["values"])
+
+
+def test_embed_non_utf8_coloring_exit_5(tmp_path, pizza_file, capsys):
+    bad = tmp_path / "coloring.json"
+    bad.write_bytes(b'{"version": 1, "labels": {"\xe9": 0}}')
+    assert run("embed", bad, pizza_file, "-o", tmp_path / "v.jsonl") == 5
+    assert f"{bad}: not valid UTF-8" in capsys.readouterr().err
 
 
 def test_project_reports_coverage(tmp_path, pizza_file, capsys):

@@ -4,11 +4,10 @@ import pytest
 
 from chromagraph import BigramGraph, ColoringMismatchError, Corpus, Document, \
     check_properness, chromatic_similarity, color_graph, embed_text, load_coloring, \
-    project_coloring, save_coloring, similarity_matrix, tag_distribution_by_color, \
-    undirected_neighbors
+    project_coloring, save_coloring, similarity_matrix, tag_distribution_by_color
 from chromagraph import ImproperColoringError, SchemaError
 
-from conftest import random_graph
+from conftest import neighbor_sets, random_graph
 
 
 # -- oracle -------------------------------------------------------------------
@@ -16,7 +15,7 @@ from conftest import random_graph
 def exact_chromatic_number(g: BigramGraph) -> int:
     """Exhaustive search for the smallest proper color count (self-loops exempt)."""
     nodes = sorted(g.nodes)
-    adj = undirected_neighbors(g)
+    adj = neighbor_sets(g)
     if not nodes:
         return 0
 

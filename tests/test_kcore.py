@@ -1,11 +1,13 @@
 import random
+from collections import Counter
 
 import pytest
 
-from chromagraph import BigramGraph, Corpus, Document, KCoreError, KCoreSubgraph, \
-    core_decomposition, core_report, extract_kcore, reduce_corpus
+from chromagraph import BigramGraph, Corpus, Document, IngestConfig, KCoreError, \
+    KCoreSubgraph, build_graph, color_graph, core_decomposition, core_report, extract_kcore, \
+    load_corpus, read_stopwords, reduce_corpus
 
-from conftest import PIZZA_CORE_TOKENS, random_graph
+from conftest import DATA_DIR, PIZZA_CORE_TOKENS, neighbor_sets, random_graph
 
 
 # -- oracle -------------------------------------------------------------------
@@ -72,6 +74,31 @@ def test_peeling_matches_fixed_point_on_random_graphs():
             assert extract_kcore(g, k, decomposition=decomp).retained == \
                 frozenset(fixed_point_core(g, k))
         assert not fixed_point_core(g, decomp.degeneracy + 1)
+
+
+def test_sms_graph_peeling_and_coloring_match_oracles():
+    config = IngestConfig(stopwords=read_stopwords(DATA_DIR / "stopwords-en.txt"))
+    g = build_graph(load_corpus(DATA_DIR / "sms-spam.csv", "csv", config))
+    assert (g.node_count, g.edge_count) == (8721, 35997)
+    decomp = core_decomposition(g)
+    assert decomp.degeneracy == 31
+    for k in (1, 15, 31):
+        assert extract_kcore(g, k, decomposition=decomp).retained == \
+            frozenset(fixed_point_core(g, k))
+
+    # reference greedy: total degree counted per distinct edge end, set adjacency
+    degree = Counter()
+    for src, dst in g.edges:
+        degree[src] += 1
+        degree[dst] += 1
+    adj = neighbor_sets(g)
+    labels: dict[str, int] = {}
+    for v in sorted(g.nodes, key=lambda t: (-degree[t], t)):
+        used = {labels[u] for u in adj[v] if u in labels}
+        labels[v] = min(set(range(len(used) + 1)) - used)
+    coloring = color_graph(g)
+    assert coloring.labels == labels
+    assert coloring.num_colors == 18
 
 
 def test_monotone_nesting():
