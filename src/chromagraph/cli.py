@@ -37,7 +37,7 @@ from .coloring import (ColoringMismatchError, STRATEGIES, chromatic_similarity, 
                        embed_text, load_coloring, project_coloring, save_coloring,
                        similarity_matrix, tag_distribution_by_color)
 from .corpus import (Corpus, CorpusFormatError, FORMATS, IngestConfig, load_corpus,
-                     load_labeled_corpus, read_stopwords)
+                     load_labeled_corpus, read_stopwords, read_utf8)
 from .graph import BigramGraph, build_graph, graph_from_payload, load_graph, save_graph
 from .kcore import KCoreError, core_decomposition, core_report, extract_kcore, reduce_corpus
 from .walker import PROTOCOLS, WalkerConfig, WalkerError, generate
@@ -87,21 +87,20 @@ def _ingest_config(args) -> IngestConfig:
         "text_field": "text",
         "label_field": "label",
     }
-    if getattr(args, "config", None):
+    if args.config:
         file_values = _read_config_file(args.config)
         if "stopwords" in file_values:
             file_values["stopwords"] = read_stopwords(file_values["stopwords"])
         if "punctuation" in file_values:
             file_values["punctuation"] = frozenset(file_values["punctuation"])
         values.update(file_values)
-    if getattr(args, "stopwords", None):
+    if args.stopwords:
         values["stopwords"] = read_stopwords(args.stopwords)
-    if getattr(args, "no_lowercase", False):
+    if args.no_lowercase:
         values["lowercase"] = False
-    if getattr(args, "text_field", None):
-        values["text_field"] = args.text_field
-    if getattr(args, "label_field", None):
-        values["label_field"] = args.label_field
+    for field in ("text_field", "label_field"):
+        if getattr(args, field, None):
+            values[field] = getattr(args, field)
     return IngestConfig(**values)
 
 
@@ -122,21 +121,12 @@ def _write_manifest(args, options: dict, inputs, outputs, t0) -> None:
     manifest = {
         "command": args.command,
         "options": options,
-        "inputs": {str(p): sha256_file(p) for p in [*inputs, *_input_files(args)]},
+        "inputs": {str(p): sha256_file(p) for p in [*inputs, args.config, args.stopwords] if p},
         "outputs": [str(p) for p in outputs],
         "seed": args.seed if args.command in _SEEDED_COMMANDS else None,
         "wall_time_s": round(time.perf_counter() - t0, 6),
     }
     atomic_write_bytes(str(outputs[0]) + ".manifest.json", canonical_json_bytes(manifest))
-
-
-def _input_files(args) -> list:
-    extra = []
-    if getattr(args, "config", None):
-        extra.append(args.config)
-    if getattr(args, "stopwords", None):
-        extra.append(args.stopwords)
-    return extra
 
 
 # -- build ------------------------------------------------------------------
@@ -166,7 +156,10 @@ def _build_graph_cached(path, format: str, config: IngestConfig, source_id) -> B
     except (OSError, EOFError, ValueError, zlib.error):
         pass  # an absent or corrupt entry is a miss: rebuild and rewrite it
     graph = build_graph(load_corpus(path, format, config, source_id))
-    atomic_write_bytes(cache_path, gzip.compress(graph.canonical_bytes()))
+    try:
+        atomic_write_bytes(cache_path, gzip.compress(graph.canonical_bytes()))
+    except OSError:
+        pass  # an unwritable cache only skips the write; the run still succeeds
     return graph
 
 
@@ -433,7 +426,7 @@ def _cmd_classify(args):
 
 def _read_annotations(path) -> dict[str, str]:
     annotations = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from ._files import SchemaError, atomic_write_bytes, canonical_json_bytes, read_json
@@ -71,6 +72,14 @@ class Coloring:
     def label(self, token: str) -> int:
         """Color of ``token``, or UNKNOWN_LABEL for tokens not colored."""
         return self.labels.get(token, UNKNOWN_LABEL)
+
+    @cached_property
+    def classes(self) -> dict[int, tuple[str, ...]]:
+        """Color -> its tokens, sorted; grouped once per coloring."""
+        classes: dict[int, list[str]] = {}
+        for token, color in self.labels.items():
+            classes.setdefault(color, []).append(token)
+        return {color: tuple(sorted(tokens)) for color, tokens in classes.items()}
 
 
 @dataclass(frozen=True)
@@ -228,14 +237,10 @@ def tag_distribution_by_color(coloring: Coloring,
     speech, entity type, anything); tokens without an annotation are
     counted under "UNK". Each color's histogram sums to 1.
     """
-    counts: dict[int, Counter[str]] = {}
-    for token, color in coloring.labels.items():
-        tag = annotations.get(token, UNANNOTATED_TAG)
-        counts.setdefault(color, Counter())[tag] += 1
     result: dict[int, dict[str, float]] = {}
-    for color in sorted(counts):
-        total = sum(counts[color].values())
-        result[color] = {tag: n / total for tag, n in sorted(counts[color].items())}
+    for color, tokens in sorted(coloring.classes.items()):
+        counts = Counter(annotations.get(token, UNANNOTATED_TAG) for token in tokens)
+        result[color] = {tag: n / len(tokens) for tag, n in sorted(counts.items())}
     return result
 
 

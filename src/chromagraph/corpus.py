@@ -151,17 +151,22 @@ def load_labeled_corpus(path, format: str = "csv", config: IngestConfig | None =
     return Corpus(docs, sid), labels
 
 
+def read_utf8(path) -> str:
+    """Text with universal newlines; a non-UTF-8 byte raises CorpusFormatError at path:line."""
+    # CR and LF never occur inside a UTF-8 sequence
+    raw = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise CorpusFormatError(f"not valid UTF-8: {exc.reason}", str(path), line) from exc
+
+
 def _read_records(path, format, config, with_labels):
     if format not in FORMATS:
         raise ValueError(f"unknown corpus format: {format!r} (expected one of {FORMATS})")
     name = str(path)
-    # universal newlines, as Path.read_text; CR and LF never occur inside a UTF-8 sequence
-    raw = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise CorpusFormatError(f"not valid UTF-8: {exc.reason}", name, line) from exc
+    text = read_utf8(path)
     if format == "plain":
         if with_labels:
             raise CorpusFormatError("plain format carries no labels", name)

@@ -16,15 +16,18 @@ uniform-cost search bounded by ``max_hops``:
   min_density  cost(u, v) = degree(v)
   max_density  cost(u, v) = 1 + D_max - degree(v)
 
-All costs are >= 1, so a cheapest walk never repeats a node and the
-search over (node, hop-count) states is exact for simple paths within
-the hop bound. Equal-cost ties go to the lexicographically smallest
-token sequence, which keeps generation fully reproducible.
+A reverse breadth-first pass from the target gives each node's fewest
+hops to it; a path is extended only to nodes that can still reach the
+target in the hops left, and a node is expanded again only with fewer
+hops. All costs are >= 1, so an earlier expansion's (cost, path) stays
+smaller under any common suffix and the search is exact. Equal-cost
+ties go to the lexicographically smallest token sequence.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import pairwise
@@ -166,8 +169,8 @@ def _edge_costs(g: BigramGraph, protocol: str) -> dict[tuple[str, str], int]:
 class PathFinder:
     """Reusable protocol-optimal path search over one graph.
 
-    Caches per-edge costs, hop-bounded reachability, and found paths, so
-    repeated queries (as in sentence generation) stay cheap.
+    Caches per-edge costs and found paths, so repeated queries (as in
+    sentence generation) stay cheap.
     """
 
     def __init__(self, g: BigramGraph, protocol: str = "min_weight", max_hops: int = 12):
@@ -179,83 +182,78 @@ class PathFinder:
         self.protocol = protocol
         self.max_hops = max_hops
         self._cost = _edge_costs(g, protocol)
-        self._reach: dict[str, frozenset[str]] = {}
         self._memo: dict[tuple[str, str], tuple[str, ...] | None] = {}
+        self._stats = Counter(finds=0, memo_hits=0, searches=0, states_expanded=0, states_pushed=0)
 
-    def _reachable(self, source: str) -> frozenset[str]:
-        cached = self._reach.get(source)
-        if cached is not None:
-            return cached
-        seen = {source}
-        frontier = [source]
-        for _ in range(self.max_hops):
-            if not frontier:
-                break
-            nxt = []
-            for v in frontier:
-                for u in self.graph.successors(v):
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        result = frozenset(seen)
-        self._reach[source] = result
-        return result
+    def stats(self) -> dict[str, int]:
+        """Finds that returned, memo hits, searches, and heap states expanded and pushed."""
+        return dict(self._stats)
 
     def find(self, source: str, target: str) -> tuple[str, ...] | None:
         """Cheapest simple path source -> target, or None if unreachable.
 
-        Uniform-cost search over (node, hops) states; the heap orders
-        entries by (cost, token sequence) so the first target pop is the
-        optimal path with the lexicographically smallest tie-break.
+        Uniform-cost search; the heap orders entries by (cost, token
+        sequence) so the first target pop is the optimal path with the
+        lexicographically smallest tie-break.
         """
-        if source not in self.graph.nodes:
-            raise WalkerError(f"unknown token: {source!r}")
-        if target not in self.graph.nodes:
-            raise WalkerError(f"unknown token: {target!r}")
+        for token in (source, target):
+            if token not in self.graph.nodes:
+                raise WalkerError(f"unknown token: {token!r}")
+        self._stats["finds"] += 1
         if source == target:
             return (source,)
         key = (source, target)
         if key in self._memo:
+            self._stats["memo_hits"] += 1
             return self._memo[key]
-        result = None
-        if target in self._reachable(source):
-            result = self._search(source, target)
-        self._memo[key] = result
+        result = self._memo[key] = self._search(source, target)
         return result
 
     def _search(self, source, target):
         cost_of = self._cost
         successors = self.graph.successors
+        predecessors = self.graph.predecessors
         max_hops = self.max_hops
+        far = max_hops + 1  # more hops than any search uses
+        # togo[v]: fewest hops v -> target; a node absent is more than max_hops - 1 away
+        togo = {target: 0}
+        frontier = [target]
+        for dist in range(1, max_hops):
+            reached = []
+            for v in frontier:
+                for u in predecessors(v):
+                    if u not in togo:
+                        togo[u] = dist
+                        reached.append(u)
+            frontier = reached
         heap = [(0, (source,))]
-        settled: set[tuple[str, int]] = set()
+        expanded: dict[str, int] = {}  # node -> fewest hops it was expanded with
+        pushed, expansions = 1, 0
+        found = None
         while heap:
             cost, path = heappop(heap)
             node = path[-1]
             if node == target:
-                return path
+                found = path
+                break
             hops = len(path) - 1
-            state = (node, hops)
-            if state in settled or hops == max_hops:
+            if expanded.get(node, far) <= hops:
                 continue
-            settled.add(state)
+            expanded[node] = hops
+            expansions += 1
+            left = max_hops - hops - 1
             for nxt in successors(node):
-                heappush(heap, (cost + cost_of[(node, nxt)], path + (nxt,)))
-        return None
+                if togo.get(nxt, far) <= left and expanded.get(nxt, far) > hops + 1:
+                    heappush(heap, (cost + cost_of[(node, nxt)], path + (nxt,)))
+                    pushed += 1
+        self._stats.update(searches=1, states_expanded=expansions, states_pushed=pushed)
+        return found
 
 
 def find_path(g: BigramGraph, source: str, target: str,
               protocol: str = "min_weight", max_hops: int = 12) -> tuple[str, ...] | None:
     """One-off protocol-optimal path query (see PathFinder)."""
     return PathFinder(g, protocol, max_hops).find(source, target)
-
-
-def _words_by_color(coloring: Coloring) -> dict[int, tuple[str, ...]]:
-    classes: dict[int, list[str]] = {}
-    for token, color in coloring.labels.items():
-        classes.setdefault(color, []).append(token)
-    return {color: tuple(sorted(tokens)) for color, tokens in classes.items()}
 
 
 def generate(g: BigramGraph, coloring: Coloring, config: WalkerConfig, *,
@@ -278,7 +276,7 @@ def generate(g: BigramGraph, coloring: Coloring, config: WalkerConfig, *,
 
     rng = random.Random(config.seed)
     plan = sample_color_plan(coloring, config, rng)
-    by_color = _words_by_color(coloring)
+    by_color = coloring.classes
 
     def pick(color: int) -> str:
         words = by_color.get(color)
@@ -290,17 +288,12 @@ def generate(g: BigramGraph, coloring: Coloring, config: WalkerConfig, *,
     tokens: list[str] = []
     segments: list[PathSegment] = []
     for color in plan[1:]:
-        path = None
-        current = last
-        for _ in range(config.max_retries):
+        for _ in range(config.max_retries):  # at least one, as WalkerConfig checks
             current = pick(color)
             path = finder.find(last, current)
             if path is not None:
                 break
-        if path is None:
-            segment = PathSegment(last, current, (last, current), jump=True)
-        else:
-            segment = PathSegment(last, current, path)
+        segment = PathSegment(last, current, path or (last, current), jump=path is None)
         tokens.extend(segment.path[:-1])
         segments.append(segment)
         last = current

@@ -1,4 +1,4 @@
-"""Shared fixtures: the pizza corpus, desk corpora, random graphs."""
+"""Shared fixtures: the pizza corpus, desk corpora, the SMS graph, random graphs."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from chromagraph import BigramGraph, Corpus, build_graph, tokenize
+from chromagraph import (BigramGraph, Corpus, IngestConfig, build_graph, load_corpus,
+                         read_stopwords, tokenize)
 
 settings.register_profile("ci", deadline=None, max_examples=60)
 settings.load_profile("ci")
@@ -39,6 +40,13 @@ def pizza_corpus() -> Corpus:
 @pytest.fixture(scope="session")
 def pizza_graph(pizza_corpus) -> BigramGraph:
     return build_graph(pizza_corpus)
+
+
+@pytest.fixture(scope="session")
+def sms_graph() -> BigramGraph:
+    """The SMS spam corpus graph with English stopwords removed (8,721 nodes)."""
+    config = IngestConfig(stopwords=read_stopwords(DATA_DIR / "stopwords-en.txt"))
+    return build_graph(load_corpus(DATA_DIR / "sms-spam.csv", "csv", config))
 
 
 @pytest.fixture(scope="session")

@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import chromagraph
 from chromagraph.cli import main
 
 from conftest import PIZZA_LINES
@@ -133,6 +135,17 @@ def test_build_corrupt_cache_entry_is_a_miss(tmp_path, pizza_file, monkeypatch, 
     assert run("build", pizza_file, "-o", rebuilt) == 0
     assert rebuilt.read_bytes() == plain.read_bytes()
     assert gzip.decompress(entry.read_bytes()) == plain.read_bytes()
+
+
+def test_build_unwritable_cache_skips_the_write(tmp_path, pizza_file, monkeypatch):
+    plain = build_pizza(tmp_path, pizza_file)
+    blocker = tmp_path / "afile"
+    blocker.write_bytes(b"")
+    monkeypatch.setenv("CHROMAGRAPH_CACHE_DIR", str(blocker / "cache"))
+    cached = tmp_path / "cached.json"
+    assert run("build", pizza_file, "-o", cached) == 0
+    assert cached.read_bytes() == plain.read_bytes()
+    assert blocker.read_bytes() == b""
 
 
 def test_outputs_follow_umask(tmp_path, pizza_file, monkeypatch):
@@ -359,10 +372,22 @@ def test_tagdist_bad_annotation_exit_4(tmp_path, pizza_file):
     assert run("tagdist", coloring_path, ann, "-o", tmp_path / "d.json") == 4
 
 
+def test_tagdist_non_utf8_annotation_exit_4(tmp_path, pizza_file, capsys):
+    _, coloring_path = color_pizza(tmp_path, pizza_file)
+    ann = tmp_path / "tags.tsv"
+    ann.write_bytes(b"pizza\tNOUN\ncaf\xe9\tNOUN\n")
+    assert run("tagdist", coloring_path, ann, "-o", tmp_path / "d.json") == 4
+    assert f"{ann}:2: not valid UTF-8" in capsys.readouterr().err
+
+
 def test_module_entrypoint_smoke(tmp_path, pizza_file):
     out = tmp_path / "g.json"
+    # the child imports the package from where this process found it
+    package_root = str(Path(chromagraph.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "chromagraph", "build", str(pizza_file), "-o", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["version"] == 1

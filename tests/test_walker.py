@@ -1,4 +1,6 @@
 import random
+import time
+from heapq import heappop, heappush
 from itertools import pairwise
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from chromagraph import BigramGraph, ColoringMismatchError, PathFinder, WalkerConfig, \
     WalkerError, color_graph, degree_view, find_path, generate, path_density, \
     sample_color_plan
+from chromagraph.walker import PROTOCOLS
 
 from conftest import random_graph
 
@@ -47,6 +50,59 @@ def protocol_cost(g, path, protocol):
         else:
             total += 1 + d_max - dv.total_degree[v]
     return total
+
+
+class UnprunedFinder(PathFinder):
+    """The search before target-bounded pruning: a forward hop-bounded
+    reachability pre-check, then uniform-cost search over (node, hops)
+    states. ``_reachable`` and ``_search`` are kept verbatim."""
+
+    def __init__(self, g, protocol, max_hops):
+        super().__init__(g, protocol, max_hops)
+        self._reach = {}
+
+    def find(self, source, target):
+        return self._search(source, target) if target in self._reachable(source) else None
+
+    def _reachable(self, source: str) -> frozenset[str]:
+        cached = self._reach.get(source)
+        if cached is not None:
+            return cached
+        seen = {source}
+        frontier = [source]
+        for _ in range(self.max_hops):
+            if not frontier:
+                break
+            nxt = []
+            for v in frontier:
+                for u in self.graph.successors(v):
+                    if u not in seen:
+                        seen.add(u)
+                        nxt.append(u)
+            frontier = nxt
+        result = frozenset(seen)
+        self._reach[source] = result
+        return result
+
+    def _search(self, source, target):
+        cost_of = self._cost
+        successors = self.graph.successors
+        max_hops = self.max_hops
+        heap = [(0, (source,))]
+        settled: set[tuple[str, int]] = set()
+        while heap:
+            cost, path = heappop(heap)
+            node = path[-1]
+            if node == target:
+                return path
+            hops = len(path) - 1
+            state = (node, hops)
+            if state in settled or hops == max_hops:
+                continue
+            settled.add(state)
+            for nxt in successors(node):
+                heappush(heap, (cost + cost_of[(node, nxt)], path + (nxt,)))
+        return None
 
 
 # -- color plans ----------------------------------------------------------------
@@ -160,6 +216,83 @@ def test_finder_mismatch_rejected(pizza_graph):
     config = WalkerConfig(sentence_len=3, protocol="min_weight", seed=0)
     with pytest.raises(WalkerError, match="finder does not match"):
         generate(pizza_graph, coloring, config, finder=finder)
+
+
+def test_stats_count_a_hand_checked_query(pizza_graph):
+    finder = PathFinder(pizza_graph, "min_weight", 12)
+    assert finder.find("i", "pizza") == ("i", "love", "eating", "pizza")
+    # pushed: i; love, usually; eating; enjoy; pizza; having. Expanded: the
+    # first five of them, in that order; the next pop is the target.
+    assert finder.stats() == {"finds": 1, "memo_hits": 0, "searches": 1,
+                              "states_expanded": 5, "states_pushed": 7}
+    assert finder.find("i", "pizza") == ("i", "love", "eating", "pizza")
+    # nothing reaches "i": only the source is pushed and expanded
+    assert finder.find("pizza", "i") is None
+    assert finder.find("i", "i") == ("i",)
+    assert finder.stats() == {"finds": 4, "memo_hits": 1, "searches": 2,
+                              "states_expanded": 6, "states_pushed": 8}
+
+
+def test_stats_finds_are_memo_hits_plus_searches(pizza_graph):
+    nodes = sorted(pizza_graph.nodes)
+    rng = random.Random(5)
+    finder = PathFinder(pizza_graph, "max_density", 4)
+    for _ in range(60):
+        finder.find(*rng.sample(nodes, 2))
+    stats = finder.stats()
+    assert stats["finds"] == 60 == stats["memo_hits"] + stats["searches"]
+    assert stats["memo_hits"] > 0
+    assert stats["states_pushed"] >= stats["states_expanded"] >= stats["searches"]
+
+
+# -- search on the SMS graph -------------------------------------------------------
+
+def _drawn_pairs(g, coloring, protocol, max_hops, sentence_len, seeds):
+    """The (source, target) finds ``generate`` makes for these sentences."""
+    finder = PathFinder(g, protocol, max_hops)
+    pairs = []
+    find = finder.find
+    finder.find = lambda source, target: pairs.append((source, target)) or find(source, target)
+    for seed in seeds:
+        config = WalkerConfig(sentence_len, protocol, seed=seed, max_hops=max_hops)
+        generate(g, coloring, config, finder=finder)
+    return pairs
+
+
+# max_hops -> (seeded pairs, sentence_len, walker seeds) per protocol; the
+# unpruned search takes ~0.3 s per reachable pair at 8 hops
+_ORACLE_DRAWS = {2: (25, 8, [0, 1]), 3: (20, 8, [0]), 8: (1, 2, [0])}
+
+
+@pytest.mark.parametrize("max_hops", sorted(_ORACLE_DRAWS))
+def test_search_matches_unpruned_search_on_sms_graph(sms_graph, max_hops):
+    g = sms_graph
+    coloring = color_graph(g)
+    nodes = sorted(g.nodes)
+    rng = random.Random(max_hops)
+    no_way_in = min(v for v in nodes if not g.predecessors(v))
+    seeded, sentence_len, seeds = _ORACLE_DRAWS[max_hops]
+    outcomes = set()
+    for protocol in PROTOCOLS:
+        pairs = [tuple(rng.sample(nodes, 2)) for _ in range(seeded)]
+        pairs += _drawn_pairs(g, coloring, protocol, max_hops, sentence_len, seeds)
+        pairs.append((nodes[0] if nodes[0] != no_way_in else nodes[1], no_way_in))
+        finder, oracle = PathFinder(g, protocol, max_hops), UnprunedFinder(g, protocol, max_hops)
+        for src, dst in pairs:
+            path = finder.find(src, dst)
+            assert path == oracle.find(src, dst), (protocol, src, dst)
+            outcomes.add(path is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_sentence_time_bound_on_sms_graph(sms_graph, protocol):
+    # Loose: about 4x the slowest of these sentences on a 2-core host
+    # (0.6 s); the unpruned search took 4.0 and 5.3 s for the density protocols.
+    coloring = color_graph(sms_graph)
+    t0 = time.perf_counter()
+    generate(sms_graph, coloring, WalkerConfig(8, protocol, seed=1, max_hops=12))
+    assert time.perf_counter() - t0 < 2.5
 
 
 # -- generation -----------------------------------------------------------------
