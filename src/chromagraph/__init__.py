@@ -8,47 +8,34 @@ cross-corpus coloring projection, and color-guided sentence generation.
 """
 
 from ._files import SchemaError
-from .baselines import (BowClassifier, TfidfModel, bow_predict, bow_scores, bow_train,
-                        cosine, evaluate_predictions, jaccard, pearson, tfidf_centroid,
-                        tfidf_embed, tfidf_fit)
-from .coloring import (ChromaticVector, Coloring, ColoringMismatchError,
-                       ImproperColoringError, ProjectionResult, SimilarityResult,
-                       check_properness, chromatic_similarity, color_graph, embed_text,
-                       load_coloring, project_coloring, save_coloring, similarity_matrix,
+from .baselines import (bow_predict, bow_scores, bow_train, cosine, evaluate_predictions,
+                        jaccard, pearson, tfidf_centroid, tfidf_embed, tfidf_fit)
+from .coloring import (ColoringMismatchError, ImproperColoringError, check_properness,
+                       chromatic_similarity, color_graph, embed_text, load_coloring,
+                       project_coloring, save_coloring, similarity_matrix,
                        tag_distribution_by_color)
 from .corpus import (Corpus, CorpusFormatError, Document, IngestConfig, load_corpus,
                      load_labeled_corpus, read_stopwords, tokenize)
-from .graph import (BigramGraph, DegreeView, build_graph, degree_view, load_graph,
-                    merge, save_graph)
-from .kcore import (CoreDecomposition, KCoreError, KCoreSubgraph, core_decomposition,
-                    core_report, extract_kcore, reduce_corpus)
-from .walker import (GeneratedSentence, PathFinder, PathSegment, WalkerConfig,
-                     WalkerError, find_path, generate, path_density, sample_color_plan)
+from .graph import BigramGraph, build_graph, degree_view, load_graph, merge, save_graph
+from .kcore import (KCoreError, KCoreSubgraph, core_decomposition, core_report, extract_kcore,
+                    reduce_corpus)
+from .walker import (PathFinder, WalkerConfig, WalkerError, find_path, generate, path_density,
+                     sample_color_plan)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BigramGraph",
-    "BowClassifier",
-    "ChromaticVector",
-    "Coloring",
     "ColoringMismatchError",
-    "CoreDecomposition",
     "Corpus",
     "CorpusFormatError",
-    "DegreeView",
     "Document",
-    "GeneratedSentence",
     "ImproperColoringError",
     "IngestConfig",
     "KCoreError",
     "KCoreSubgraph",
     "PathFinder",
-    "PathSegment",
-    "ProjectionResult",
     "SchemaError",
-    "SimilarityResult",
-    "TfidfModel",
     "WalkerConfig",
     "WalkerError",
     "bow_predict",

@@ -45,17 +45,32 @@ def atomic_write_bytes(path, data: bytes) -> None:
         raise
 
 
+def parse_json(text: str):
+    """``json.loads`` that raises every parse failure as ValueError(reason).
+
+    Besides malformed JSON this covers an integer literal longer than the
+    interpreter's digit limit and nesting too deep for the decoder, which
+    ``json.loads`` raises as a bare ValueError and a RecursionError.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(exc.msg) from exc
+    except RecursionError as exc:
+        raise ValueError("nesting too deep") from exc
+
+
 def read_json(path):
     """Parse a JSON artifact file as UTF-8.
 
     Undecodable bytes and malformed JSON raise SchemaError naming the path.
     """
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return parse_json(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not valid UTF-8: {exc.reason}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc.msg}") from exc
+    except ValueError as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def sha256_hex(data: bytes) -> str:

@@ -17,21 +17,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus, Document
 
-__all__ = [
-    "BowClassifier",
-    "TfidfModel",
-    "bow_predict",
-    "bow_scores",
-    "bow_train",
-    "cosine",
-    "evaluate_predictions",
-    "jaccard",
-    "pearson",
-    "tfidf_centroid",
-    "tfidf_embed",
-    "tfidf_fit",
-]
-
 
 @dataclass(frozen=True)
 class TfidfModel:

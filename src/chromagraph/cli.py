@@ -21,6 +21,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gzip
 import json
 import os
@@ -30,7 +31,8 @@ import time
 import zlib
 from pathlib import Path
 
-from ._files import SchemaError, atomic_write_bytes, canonical_json_bytes, sha256_file, sha256_hex
+from ._files import (SchemaError, atomic_write_bytes, canonical_json_bytes, parse_json,
+                     sha256_file, sha256_hex)
 from .baselines import (bow_predict, bow_train, cosine, evaluate_predictions, jaccard,
                         pearson, tfidf_centroid, tfidf_fit)
 from .coloring import (ColoringMismatchError, STRATEGIES, chromatic_similarity, color_graph,
@@ -44,7 +46,7 @@ from .walker import PROTOCOLS, WalkerConfig, WalkerError, generate
 
 CACHE_ENV = "CHROMAGRAPH_CACHE_DIR"
 
-_CONFIG_KEYS = ("lowercase", "stopwords", "punctuation", "text_field", "label_field")
+_CONFIG_KEYS = tuple(field.name for field in dataclasses.fields(IngestConfig))
 
 
 class UsageError(ValueError):
@@ -66,34 +68,31 @@ _EXIT_CODES = (
 
 
 def _read_config_file(path) -> dict:
+    """The --config object: ``lowercase`` is a bool, every other key a string."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}: config is not valid JSON: {exc.msg}") from exc
+        payload = parse_json(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError is one too
+        raise UsageError(f"{path}: config is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise UsageError(f"{path}: config must be a JSON object")
     unknown = set(payload) - set(_CONFIG_KEYS)
     if unknown:
         raise UsageError(f"{path}: unknown config keys: {sorted(unknown)}")
+    for key, value in payload.items():
+        kind = bool if key == "lowercase" else str
+        if not isinstance(value, kind):
+            raise UsageError(f"{path}: config key {key!r} must be a {kind.__name__}, "
+                             f"got {type(value).__name__}")
     return payload
 
 
 def _ingest_config(args) -> IngestConfig:
-    """Defaults, overridden by --config file entries, overridden by flags."""
-    values = {
-        "lowercase": True,
-        "stopwords": frozenset(),
-        "punctuation": IngestConfig().punctuation,
-        "text_field": "text",
-        "label_field": "label",
-    }
-    if args.config:
-        file_values = _read_config_file(args.config)
-        if "stopwords" in file_values:
-            file_values["stopwords"] = read_stopwords(file_values["stopwords"])
-        if "punctuation" in file_values:
-            file_values["punctuation"] = frozenset(file_values["punctuation"])
-        values.update(file_values)
+    """IngestConfig defaults, overridden by --config file entries, overridden by flags."""
+    values = _read_config_file(args.config) if args.config else {}
+    if "stopwords" in values:
+        values["stopwords"] = read_stopwords(values["stopwords"])
+    if "punctuation" in values:
+        values["punctuation"] = frozenset(values["punctuation"])
     if args.stopwords:
         values["stopwords"] = read_stopwords(args.stopwords)
     if args.no_lowercase:
@@ -151,13 +150,14 @@ def _build_graph_cached(path, format: str, config: IngestConfig, source_id) -> B
     key = _cache_key(raw, format, source_id, config)
     cache_path = Path(cache_dir) / f"graph-{key}.json.gz"
     try:
-        payload = json.loads(gzip.decompress(cache_path.read_bytes()).decode("utf-8"))
+        payload = parse_json(gzip.decompress(cache_path.read_bytes()).decode("utf-8"))
         return graph_from_payload(payload, str(cache_path))
     except (OSError, EOFError, ValueError, zlib.error):
         pass  # an absent or corrupt entry is a miss: rebuild and rewrite it
     graph = build_graph(load_corpus(path, format, config, source_id))
     try:
-        atomic_write_bytes(cache_path, gzip.compress(graph.canonical_bytes()))
+        # level 9, gzip's default, takes about 4x as long for a few bytes less
+        atomic_write_bytes(cache_path, gzip.compress(graph.canonical_bytes(), compresslevel=6))
     except OSError:
         pass  # an unwritable cache only skips the write; the run still succeeds
     return graph
@@ -299,15 +299,9 @@ def _cmd_generate(args):
         "seed": args.seed,
     }
     atomic_write_bytes(args.output, canonical_json_bytes(payload))
-    return {
-        "sentence_len": args.sentence_len,
-        "protocol": args.protocol,
-        "beta_alpha": args.beta_alpha,
-        "beta_beta": args.beta_beta,
-        "max_hops": args.max_hops,
-        "max_retries": args.max_retries,
-        "append_final_word": not args.drop_final_word,
-    }, [args.graph, args.coloring], [args.output]
+    options = dataclasses.asdict(config)
+    del options["seed"]  # the manifest records it at its top level
+    return options, [args.graph, args.coloring], [args.output]
 
 
 # -- compare ----------------------------------------------------------------

@@ -19,27 +19,6 @@ from ._files import SchemaError, atomic_write_bytes, canonical_json_bytes, read_
 from .corpus import Corpus, Document
 from .graph import BigramGraph
 
-__all__ = [
-    "COLORING_SCHEMA_VERSION",
-    "ChromaticVector",
-    "Coloring",
-    "ColoringMismatchError",
-    "ImproperColoringError",
-    "ProjectionResult",
-    "STRATEGIES",
-    "SimilarityResult",
-    "UNKNOWN_LABEL",
-    "check_properness",
-    "chromatic_similarity",
-    "color_graph",
-    "embed_text",
-    "load_coloring",
-    "project_coloring",
-    "save_coloring",
-    "similarity_matrix",
-    "tag_distribution_by_color",
-]
-
 STRATEGIES = ("degree_desc", "lexicographic")
 COLORING_SCHEMA_VERSION = 1
 UNKNOWN_LABEL = -1
@@ -69,10 +48,6 @@ class Coloring:
     algorithm_id: str
     graph_hash: str
 
-    def label(self, token: str) -> int:
-        """Color of ``token``, or UNKNOWN_LABEL for tokens not colored."""
-        return self.labels.get(token, UNKNOWN_LABEL)
-
     @cached_property
     def classes(self) -> dict[int, tuple[str, ...]]:
         """Color -> its tokens, sorted; grouped once per coloring."""
@@ -90,12 +65,6 @@ class ChromaticVector:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def coverage(self) -> float:
-        if not self.values:
-            return 0.0
-        known = sum(1 for v in self.values if v != UNKNOWN_LABEL)
-        return known / len(self.values)
 
 
 @dataclass(frozen=True)

@@ -11,23 +11,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import string
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-__all__ = [
-    "Corpus",
-    "CorpusFormatError",
-    "Document",
-    "FORMATS",
-    "IngestConfig",
-    "load_corpus",
-    "load_labeled_corpus",
-    "read_stopwords",
-    "tokenize",
-]
+from ._files import parse_json
 
 FORMATS = ("plain", "jsonl", "csv")
 
@@ -118,8 +107,11 @@ def tokenize(text: str, config: IngestConfig = IngestConfig()) -> Document:
 
 
 def read_stopwords(path) -> frozenset[str]:
-    """Read a stopword file, one token per line; blank lines are ignored."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Read a stopword file, one token per line; blank lines are ignored.
+
+    A non-UTF-8 byte raises CorpusFormatError at path:line.
+    """
+    lines = read_utf8(path).splitlines()
     return frozenset(w.strip() for w in lines if w.strip())
 
 
@@ -182,9 +174,9 @@ def _jsonl_records(text, config, name, with_labels):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"invalid JSON: {exc.msg}", name, lineno) from exc
+            obj = parse_json(line)
+        except ValueError as exc:
+            raise CorpusFormatError(f"invalid JSON: {exc}", name, lineno) from exc
         if not isinstance(obj, dict):
             raise CorpusFormatError("record is not a JSON object", name, lineno)
         if config.text_field not in obj:
@@ -202,21 +194,25 @@ def _csv_records(text, config, name, with_labels):
     if not text.strip():
         return []
     reader = csv.DictReader(io.StringIO(text))
-    fields = reader.fieldnames or []
-    if config.text_field not in fields:
-        raise CorpusFormatError(f"missing column {config.text_field!r}", name, 1)
-    if with_labels and config.label_field not in fields:
-        raise CorpusFormatError(f"missing column {config.label_field!r}", name, 1)
     records = []
-    for row in reader:
-        value = row.get(config.text_field)
-        if value is None:
-            raise CorpusFormatError("row is missing columns", name, reader.line_num)
-        label = ""
-        if with_labels:
-            raw = row.get(config.label_field)
-            if raw is None:
+    try:
+        fields = reader.fieldnames or []
+        if config.text_field not in fields:
+            raise CorpusFormatError(f"missing column {config.text_field!r}", name, 1)
+        if with_labels and config.label_field not in fields:
+            raise CorpusFormatError(f"missing column {config.label_field!r}", name, 1)
+        for row in reader:
+            value = row.get(config.text_field)
+            if value is None:
                 raise CorpusFormatError("row is missing columns", name, reader.line_num)
-            label = str(raw)
-        records.append((value, label))
+            label = ""
+            if with_labels:
+                raw = row.get(config.label_field)
+                if raw is None:
+                    raise CorpusFormatError("row is missing columns", name, reader.line_num)
+                label = str(raw)
+            records.append((value, label))
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        # DictReader.line_num moves only once a row parses; its inner reader's is current
+        raise CorpusFormatError(f"invalid CSV: {exc}", name, reader.reader.line_num) from exc
     return records

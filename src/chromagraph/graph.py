@@ -15,18 +15,6 @@ from itertools import pairwise
 from ._files import SchemaError, atomic_write_bytes, canonical_json_bytes, read_json, sha256_hex
 from .corpus import Corpus
 
-__all__ = [
-    "BigramGraph",
-    "DegreeView",
-    "GRAPH_SCHEMA_VERSION",
-    "build_graph",
-    "degree_view",
-    "graph_from_payload",
-    "load_graph",
-    "merge",
-    "save_graph",
-]
-
 GRAPH_SCHEMA_VERSION = 1
 
 

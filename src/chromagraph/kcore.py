@@ -14,16 +14,6 @@ from dataclasses import dataclass
 from .corpus import Corpus, Document
 from .graph import BigramGraph
 
-__all__ = [
-    "CoreDecomposition",
-    "KCoreError",
-    "KCoreSubgraph",
-    "core_decomposition",
-    "core_report",
-    "extract_kcore",
-    "reduce_corpus",
-]
-
 
 class KCoreError(ValueError):
     """Requested k is outside the graph's valid core range."""

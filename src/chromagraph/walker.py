@@ -35,19 +35,6 @@ from itertools import pairwise
 from .coloring import Coloring, ColoringMismatchError
 from .graph import BigramGraph
 
-__all__ = [
-    "GeneratedSentence",
-    "PROTOCOLS",
-    "PathFinder",
-    "PathSegment",
-    "WalkerConfig",
-    "WalkerError",
-    "find_path",
-    "generate",
-    "path_density",
-    "sample_color_plan",
-]
-
 PROTOCOLS = ("max_weight", "min_weight", "max_density", "min_density")
 
 

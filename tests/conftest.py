@@ -1,4 +1,4 @@
-"""Shared fixtures: the pizza corpus, desk corpora, the SMS graph, random graphs."""
+"""Shared fixtures: the pizza corpus, desk corpora, the SMS graph, random graphs, JSON values."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from chromagraph import (BigramGraph, Corpus, IngestConfig, build_graph, load_corpus,
                          read_stopwords, tokenize)
@@ -26,6 +27,12 @@ PIZZA_LINES = (
 
 PIZZA_CORE_TOKENS = frozenset(
     {"i", "love", "eating", "pizza", "a", "having", "enjoy", "usually"})
+
+# any value json.loads can return
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=12)
 
 
 def make_pizza_corpus() -> Corpus:

@@ -1,7 +1,10 @@
 import csv
 import gzip
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -123,7 +126,8 @@ def _truncate(data):
     _truncate,
     lambda data: gzip.compress(b"{broken"),
     lambda data: gzip.compress(b'{"version": 99, "source_id": "", "nodes": [], "edges": []}'),
-], ids=["bad_gzip", "truncated_gzip", "bad_json", "wrong_version"])
+    lambda data: gzip.compress(b"[" * 100_000),
+], ids=["bad_gzip", "truncated_gzip", "bad_json", "wrong_version", "deep_nesting"])
 def test_build_corrupt_cache_entry_is_a_miss(tmp_path, pizza_file, monkeypatch, corrupt):
     plain = build_pizza(tmp_path, pizza_file)
     cache = tmp_path / "cache"
@@ -167,6 +171,43 @@ def test_build_non_utf8_corpus_exit_4(tmp_path, capsys):
     src.write_bytes(b"first line\nsecond line\ncaf\xe9 au lait\n")
     assert run("build", src, "-o", tmp_path / "g.json") == 4
     assert f"{src}:3: not valid UTF-8" in capsys.readouterr().err
+
+
+DEEP = b"[" * 100_000
+LONG_INT = b"1" * 5_000
+
+
+@pytest.mark.parametrize("name, data, argv, code, message", [
+    ("graph.json", LONG_INT, ["color", "{path}"], 5, "{path}: not valid JSON"),
+    ("graph.json", DEEP, ["color", "{path}"], 5, "{path}: not valid JSON"),
+    ("coloring.json", DEEP, ["embed", "{path}", "{pizza}"], 5, "{path}: not valid JSON"),
+    ("docs.jsonl", b'{"text": ' + LONG_INT + b"}\n", ["build", "{path}", "--format", "jsonl"],
+     4, "{path}:1: invalid JSON"),
+    ("docs.jsonl", b'{"text": "ok"}\n' + DEEP + b"\n", ["build", "{path}", "--format", "jsonl"],
+     4, "{path}:2: invalid JSON"),
+    ("docs.csv", b"text\nok\n" + b"x" * 200_000 + b"\n", ["build", "{path}", "--format", "csv"],
+     4, "{path}:3: invalid CSV"),
+    ("config.json", DEEP, ["build", "{pizza}", "--config", "{path}"], 2, "{path}: config"),
+    ("config.json", b'{"text_field": "caf\xe9"}', ["build", "{pizza}", "--config", "{path}"],
+     2, "{path}: config is not valid UTF-8"),
+    ("config.json", b'{"stopwords": ["a"]}', ["build", "{pizza}", "--config", "{path}"],
+     2, "{path}: config key 'stopwords'"),
+    ("config.json", b'{"punctuation": 5}', ["build", "{pizza}", "--config", "{path}"],
+     2, "{path}: config key 'punctuation'"),
+    ("config.json", b'{"punctuation": ["ab"]}', ["build", "{pizza}", "--config", "{path}"],
+     2, "{path}: config key 'punctuation'"),
+    ("config.json", b'{"lowercase": "no"}', ["build", "{pizza}", "--config", "{path}"],
+     2, "{path}: config key 'lowercase'"),
+], ids=["graph_long_int", "graph_deep", "coloring_deep", "jsonl_long_int", "jsonl_deep",
+        "csv_long_field", "config_deep", "config_non_utf8", "config_stopwords_list",
+        "config_punctuation_int", "config_punctuation_list", "config_lowercase_string"])
+def test_unparsable_input_exit_code(tmp_path, pizza_file, capsys, name, data, argv, code,
+                                    message):
+    path = tmp_path / name
+    path.write_bytes(data)
+    argv = [arg.format(path=path, pizza=pizza_file) for arg in argv]
+    assert run(*argv, "-o", tmp_path / "out.json") == code
+    assert message.format(path=path) in capsys.readouterr().err
 
 
 def test_no_temp_files_left_behind(tmp_path, pizza_file):
@@ -378,6 +419,24 @@ def test_tagdist_non_utf8_annotation_exit_4(tmp_path, pizza_file, capsys):
     ann.write_bytes(b"pizza\tNOUN\ncaf\xe9\tNOUN\n")
     assert run("tagdist", coloring_path, ann, "-o", tmp_path / "d.json") == 4
     assert f"{ann}:2: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_build_non_utf8_stopwords_exit_4(tmp_path, pizza_file, capsys):
+    stops = tmp_path / "stop.txt"
+    stops.write_bytes(b"the\ncaf\xe9\n")
+    assert run("build", pizza_file, "--stopwords", stops, "-o", tmp_path / "g.json") == 4
+    assert f"{stops}:2: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_package_all_is_the_one_declaration():
+    names = chromagraph.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert not inspect.ismodule(getattr(chromagraph, name)), name
+    for info in pkgutil.iter_modules(chromagraph.__path__):
+        if info.name != "__main__":  # importing it runs the CLI
+            module = importlib.import_module(f"chromagraph.{info.name}")
+            assert not hasattr(module, "__all__"), info.name
 
 
 def test_module_entrypoint_smoke(tmp_path, pizza_file):

@@ -1,13 +1,16 @@
+import json
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from chromagraph import BigramGraph, ColoringMismatchError, Corpus, Document, \
     check_properness, chromatic_similarity, color_graph, embed_text, load_coloring, \
     project_coloring, save_coloring, similarity_matrix, tag_distribution_by_color
 from chromagraph import ImproperColoringError, SchemaError
 
-from conftest import neighbor_sets, random_graph
+from conftest import json_values, neighbor_sets, random_graph
 
 
 # -- oracle -------------------------------------------------------------------
@@ -104,6 +107,29 @@ def test_load_coloring_rejects_gappy_labels(tmp_path):
                     '"num_colors":3,"labels":{"a":0,"b":2}}')
     with pytest.raises(SchemaError, match="no gaps"):
         load_coloring(path)
+
+
+coloring_like = st.fixed_dictionaries({
+    "version": st.just(1) | json_values,
+    "algorithm_id": st.just("greedy-degree_desc-v1") | json_values,
+    "graph_hash": st.just("h") | json_values,
+    "num_colors": st.integers(-1, 3) | json_values,
+    "labels": st.dictionaries(st.sampled_from("abc"), st.integers(-1, 3)) | json_values,
+})
+
+
+@given(data=(json_values | coloring_like).map(lambda v: json.dumps(v).encode()) | st.binary())
+@example(data=b"[" * 100_000)
+@example(data=b"1" * 5_000)
+def test_load_coloring_raises_only_schema_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("coloring") / "c.json"
+    path.write_bytes(data)
+    try:
+        coloring = load_coloring(path)
+    except SchemaError:
+        return
+    save_coloring(coloring, path)
+    assert load_coloring(path) == coloring
 
 
 def test_strategies_differ_but_both_proper(pizza_graph):

@@ -1,11 +1,12 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from chromagraph import Corpus, CorpusFormatError, IngestConfig, load_corpus, \
+from chromagraph import Corpus, CorpusFormatError, Document, IngestConfig, load_corpus, \
     load_labeled_corpus, read_stopwords, tokenize
+from chromagraph.corpus import FORMATS
 
 from conftest import PIZZA_LINES
 
@@ -162,6 +163,27 @@ def test_load_labeled_plain_rejected(tmp_path):
     path.write_text("hi\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError, match="carries no labels"):
         load_labeled_corpus(path, "plain")
+
+
+corpus_bytes = st.lists(
+    st.sampled_from([b"text", b"label", b",", b'"', b"\n", b"\r", b"{", b"}", b":", b"[",
+                     b"1", b" ", b"\x00", b"\xe9"]) | st.binary(max_size=6),
+    max_size=24).map(b"".join)
+
+
+@pytest.mark.parametrize("format", FORMATS)
+@given(data=corpus_bytes)
+@example(data=b"[" * 100_000)
+@example(data=b'{"text": ' + b"1" * 5_000 + b"}")
+@example(data=b"text\n" + b"x" * 200_000)
+def test_load_corpus_raises_only_corpus_format_error(tmp_path_factory, format, data):
+    path = tmp_path_factory.mktemp("corpus") / "docs"
+    path.write_bytes(data)
+    try:
+        corpus = load_corpus(path, format)
+    except CorpusFormatError:
+        return
+    assert all(isinstance(doc, Document) for doc in corpus.docs)
 
 
 def test_read_stopwords(tmp_path):

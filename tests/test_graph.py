@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from chromagraph import BigramGraph, Corpus, SchemaError, build_graph, degree_view, \
     load_graph, merge, save_graph
+from chromagraph.graph import graph_from_payload
 
-from conftest import make_pizza_corpus, random_graph
+from conftest import json_values, make_pizza_corpus, random_graph
 
 
 documents = st.lists(
@@ -156,6 +157,23 @@ def test_load_rejects_bad_weight(tmp_path):
         "version": 1, "source_id": "", "nodes": ["a", "b"], "edges": [[0, 1, 0]]}))
     with pytest.raises(SchemaError, match="weight"):
         load_graph(path)
+
+
+graph_like = st.fixed_dictionaries({
+    "version": st.just(1) | json_values,
+    "source_id": st.text(max_size=3) | json_values,
+    "nodes": st.lists(st.sampled_from("abc"), max_size=4) | json_values,
+    "edges": st.lists(st.lists(st.integers(-1, 3), max_size=4) | json_values, max_size=4),
+})
+
+
+@given(json_values | graph_like)
+def test_graph_from_payload_raises_only_schema_error(payload):
+    try:
+        graph = graph_from_payload(payload)
+    except SchemaError:
+        return
+    assert graph_from_payload(graph.to_payload()) == graph
 
 
 def test_constructor_enforces_invariants():
