@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import secrets
 from pathlib import Path
 
@@ -45,19 +46,42 @@ def atomic_write_bytes(path, data: bytes) -> None:
         raise
 
 
+# A \uXXXX escape of a UTF-16 surrogate, D800-DFFF: the only way JSON
+# text read as UTF-8 can decode to a string UTF-8 cannot encode.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def parse_json(text: str):
     """``json.loads`` that raises every parse failure as ValueError(reason).
 
     Besides malformed JSON this covers an integer literal longer than the
     interpreter's digit limit and nesting too deep for the decoder, which
-    ``json.loads`` raises as a bare ValueError and a RecursionError.
+    ``json.loads`` raises as a bare ValueError and a RecursionError, and
+    a string holding an unpaired surrogate escape such as ``"\\ud800"``,
+    which loads but cannot be written as UTF-8. An escaped pair decodes
+    to one character and loads.
     """
     try:
-        return json.loads(text)
+        value = json.loads(text)
+        if _SURROGATE_ESCAPE.search(text):  # a pair decodes to one encodable character
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        return value
     except json.JSONDecodeError as exc:
         raise ValueError(exc.msg) from exc
+    except UnicodeEncodeError as exc:
+        raise ValueError("unpaired surrogate escape") from exc
     except RecursionError as exc:
         raise ValueError("nesting too deep") from exc
+
+
+def check_version(payload: dict, expected: int, name: str, kind: str) -> None:
+    """Raise SchemaError unless ``payload["version"]`` is the integer ``expected``.
+
+    ``true`` and ``1.0`` equal 1 in Python, so the type is checked too.
+    """
+    version = payload.get("version")
+    if type(version) is not int or version != expected:
+        raise SchemaError(f"{name}: unsupported {kind} schema version {version!r}")
 
 
 def read_json(path):

@@ -2,10 +2,11 @@
 
 Every command writes its outputs atomically (temp file + rename) and
 emits a run manifest at <primary output>.manifest.json listing the
-resolved options, input content hashes, all written files, the seed,
-and wall time. Deterministic commands (build, color, kcore, psi,
-embed, project) are byte-reproducible; generate is reproducible for a
-fixed --seed.
+resolved options, all written files, the seed, wall time, and the hash
+of every file read: a stopword file named in --config too, unless
+--stopwords replaces it unread. Deterministic commands (build, color,
+kcore, psi, embed, project) are byte-reproducible; generate is
+reproducible for a fixed --seed.
 
 Exit codes:
   0  success
@@ -86,21 +87,20 @@ def _read_config_file(path) -> dict:
     return payload
 
 
-def _ingest_config(args) -> IngestConfig:
-    """IngestConfig defaults, overridden by --config file entries, overridden by flags."""
+def _ingest_config(args) -> tuple[IngestConfig, list]:
+    """IngestConfig of defaults, then --config entries, then flags; and the files read."""
     values = _read_config_file(args.config) if args.config else {}
-    if "stopwords" in values:
-        values["stopwords"] = read_stopwords(values["stopwords"])
+    stopwords = args.stopwords or values.get("stopwords")
+    if stopwords is not None:
+        values["stopwords"] = read_stopwords(stopwords)
     if "punctuation" in values:
         values["punctuation"] = frozenset(values["punctuation"])
-    if args.stopwords:
-        values["stopwords"] = read_stopwords(args.stopwords)
     if args.no_lowercase:
         values["lowercase"] = False
     for field in ("text_field", "label_field"):
         if getattr(args, field, None):
             values[field] = getattr(args, field)
-    return IngestConfig(**values)
+    return IngestConfig(**values), [p for p in (args.config, stopwords) if p]
 
 
 def _config_summary(config: IngestConfig) -> dict:
@@ -113,16 +113,13 @@ def _config_summary(config: IngestConfig) -> dict:
     }
 
 
-_SEEDED_COMMANDS = ("generate", "classify")
-
-
 def _write_manifest(args, options: dict, inputs, outputs, t0) -> None:
     manifest = {
         "command": args.command,
         "options": options,
-        "inputs": {str(p): sha256_file(p) for p in [*inputs, args.config, args.stopwords] if p},
+        "inputs": {str(p): sha256_file(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
-        "seed": args.seed if args.command in _SEEDED_COMMANDS else None,
+        "seed": getattr(args, "seed", None),
         "wall_time_s": round(time.perf_counter() - t0, 6),
     }
     atomic_write_bytes(str(outputs[0]) + ".manifest.json", canonical_json_bytes(manifest))
@@ -164,7 +161,7 @@ def _build_graph_cached(path, format: str, config: IngestConfig, source_id) -> B
 
 
 def _cmd_build(args):
-    config = _ingest_config(args)
+    config, read = _ingest_config(args)
     graph = _build_graph_cached(args.corpus, args.format, config, args.source_id)
     save_graph(graph, args.output)
     return {
@@ -173,7 +170,7 @@ def _cmd_build(args):
         "ingest": _config_summary(config),
         "nodes": graph.node_count,
         "edges": graph.edge_count,
-    }, [args.corpus], [args.output]
+    }, [args.corpus, *read], [args.output]
 
 
 # -- color ------------------------------------------------------------------
@@ -247,7 +244,7 @@ def _vectors_jsonl(docs, vectors) -> bytes:
 
 
 def _cmd_embed(args):
-    config = _ingest_config(args)
+    config, read = _ingest_config(args)
     coloring = load_coloring(args.coloring)
     corpus = load_corpus(args.corpus, args.format, config)
     vectors = [embed_text(doc, coloring) for doc in corpus.docs]
@@ -256,11 +253,11 @@ def _cmd_embed(args):
         "format": args.format,
         "ingest": _config_summary(config),
         "documents": len(corpus.docs),
-    }, [args.coloring, args.corpus], [args.output]
+    }, [args.coloring, args.corpus, *read], [args.output]
 
 
 def _cmd_project(args):
-    config = _ingest_config(args)
+    config, read = _ingest_config(args)
     coloring = load_coloring(args.coloring)
     corpus = load_corpus(args.corpus, args.format, config)
     result = project_coloring(coloring, corpus)
@@ -271,7 +268,7 @@ def _cmd_project(args):
         "ingest": _config_summary(config),
         "documents": len(corpus.docs),
         "coverage": result.coverage,
-    }, [args.coloring, args.corpus], [args.output]
+    }, [args.coloring, args.corpus, *read], [args.output]
 
 
 # -- generate ---------------------------------------------------------------
@@ -313,7 +310,7 @@ def _pair_vector(matrix, n):
 def _cmd_compare(args):
     if len(args.corpora) < 2:
         raise UsageError("compare needs at least two corpora")
-    config = _ingest_config(args)
+    config, read = _ingest_config(args)
     corpora = [load_corpus(p, args.format, config) for p in args.corpora]
     graphs = [build_graph(c) for c in corpora]
     colorings = [color_graph(g, args.strategy) for g in graphs]
@@ -354,7 +351,7 @@ def _cmd_compare(args):
         "strategy": args.strategy,
         "ingest": _config_summary(config),
         "corpora": len(corpora),
-    }, args.corpora, [args.output]
+    }, [*args.corpora, *read], [args.output]
 
 
 # -- classify ---------------------------------------------------------------
@@ -362,7 +359,7 @@ def _cmd_compare(args):
 def _cmd_classify(args):
     if not 0.0 < args.test_fraction < 1.0:
         raise UsageError("--test-fraction must be in (0, 1)")
-    config = _ingest_config(args)
+    config, read = _ingest_config(args)
     corpus, labels = load_labeled_corpus(args.corpus, args.format, config)
     n = len(corpus.docs)
     if n < 4:
@@ -413,7 +410,7 @@ def _cmd_classify(args):
         "kcore_reduce": args.kcore_reduce,
         "test_fraction": args.test_fraction,
         "alpha": args.alpha,
-    }, [args.corpus], [args.output]
+    }, [args.corpus, *read], [args.output]
 
 
 # -- tagdist ----------------------------------------------------------------
@@ -446,16 +443,14 @@ def _cmd_tagdist(args):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with ingest settings")
     common.add_argument("--output", "-o", required=True, help="primary output path")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
-    common.add_argument("--stopwords", help="stopword file, one token per line")
-    common.add_argument("--no-lowercase", action="store_true", help="keep original case")
 
     ingest = argparse.ArgumentParser(add_help=False)
+    ingest.add_argument("--config", help="JSON file with ingest settings")
+    ingest.add_argument("--stopwords", help="stopword file, one token per line")
+    ingest.add_argument("--no-lowercase", action="store_true", help="keep original case")
     ingest.add_argument("--format", choices=FORMATS, default="plain")
     ingest.add_argument("--text-field", help="JSONL/CSV field holding the text")
-    ingest.add_argument("--label-field", help="JSONL/CSV field holding the label")
 
     parser = argparse.ArgumentParser(
         prog="chromagraph",
@@ -508,6 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-retries", type=int, default=8)
     p.add_argument("--drop-final-word", action="store_true",
                    help="do not append the final target word after the walk")
+    p.add_argument("--seed", type=int, default=0, help="seed of the color plan and redraws")
     p.set_defaults(handler=_cmd_generate)
 
     p = sub.add_parser("compare", parents=[common, ingest],
@@ -522,6 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kcore-reduce", action="store_true")
     p.add_argument("--test-fraction", type=float, default=0.2)
     p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--label-field", help="JSONL/CSV field holding the label")
+    p.add_argument("--seed", type=int, default=0, help="seed of the train/test split")
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("tagdist", parents=[common],
@@ -536,8 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command and write its manifest; map known errors to exit codes.
 
-    Each handler returns its manifest options, the input files it read
-    beyond --config/--stopwords, and its output files, primary first.
+    Each handler returns its manifest options, every input file it read,
+    and its output files, primary first.
     """
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from ._files import SchemaError, atomic_write_bytes, canonical_json_bytes, read_json
+from ._files import (SchemaError, atomic_write_bytes, canonical_json_bytes, check_version,
+                     read_json)
 from .corpus import Corpus, Document
 from .graph import BigramGraph
 
@@ -234,8 +235,7 @@ def load_coloring(path) -> Coloring:
     payload = read_json(path)
     if not isinstance(payload, dict):
         raise SchemaError(f"{name}: coloring file must hold a JSON object")
-    if payload.get("version") != COLORING_SCHEMA_VERSION:
-        raise SchemaError(f"{name}: unsupported coloring schema version {payload.get('version')!r}")
+    check_version(payload, COLORING_SCHEMA_VERSION, name, "coloring")
     labels = payload.get("labels")
     num_colors = payload.get("num_colors")
     algorithm_id = payload.get("algorithm_id")

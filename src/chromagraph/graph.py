@@ -12,7 +12,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import pairwise
 
-from ._files import SchemaError, atomic_write_bytes, canonical_json_bytes, read_json, sha256_hex
+from ._files import (SchemaError, atomic_write_bytes, canonical_json_bytes, check_version,
+                     read_json, sha256_hex)
 from .corpus import Corpus
 
 GRAPH_SCHEMA_VERSION = 1
@@ -191,9 +192,7 @@ def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
     """Validate a parsed graph payload and construct the graph."""
     if not isinstance(payload, dict):
         raise SchemaError(f"{name}: graph file must hold a JSON object")
-    version = payload.get("version")
-    if version != GRAPH_SCHEMA_VERSION:
-        raise SchemaError(f"{name}: unsupported graph schema version {version!r}")
+    check_version(payload, GRAPH_SCHEMA_VERSION, name, "graph")
     nodes = payload.get("nodes")
     edges = payload.get("edges")
     source_id = payload.get("source_id", "")

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import gzip
+import hashlib
 import importlib
 import inspect
 import json
@@ -12,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import chromagraph
-from chromagraph.cli import main
+from chromagraph._files import parse_json
+from chromagraph.cli import build_parser, main
 
 from conftest import PIZZA_LINES
 
@@ -127,7 +130,9 @@ def _truncate(data):
     lambda data: gzip.compress(b"{broken"),
     lambda data: gzip.compress(b'{"version": 99, "source_id": "", "nodes": [], "edges": []}'),
     lambda data: gzip.compress(b"[" * 100_000),
-], ids=["bad_gzip", "truncated_gzip", "bad_json", "wrong_version", "deep_nesting"])
+    lambda data: gzip.compress(b'{"version": 1, "source_id": "\\ud800", "nodes": [], "edges": []}'),
+], ids=["bad_gzip", "truncated_gzip", "bad_json", "wrong_version", "deep_nesting",
+        "lone_surrogate"])
 def test_build_corrupt_cache_entry_is_a_miss(tmp_path, pizza_file, monkeypatch, corrupt):
     plain = build_pizza(tmp_path, pizza_file)
     cache = tmp_path / "cache"
@@ -175,6 +180,9 @@ def test_build_non_utf8_corpus_exit_4(tmp_path, capsys):
 
 DEEP = b"[" * 100_000
 LONG_INT = b"1" * 5_000
+GRAPH_SURROGATE = b'{"version": 1, "source_id": "", "nodes": ["\\ud800"], "edges": []}'
+COLORING_SURROGATE = (b'{"version": 1, "algorithm_id": "a", "graph_hash": "h", "num_colors": 1, '
+                      b'"labels": {"x\\udc00": 0}}')
 
 
 @pytest.mark.parametrize("name, data, argv, code, message", [
@@ -198,9 +206,18 @@ LONG_INT = b"1" * 5_000
      2, "{path}: config key 'punctuation'"),
     ("config.json", b'{"lowercase": "no"}', ["build", "{pizza}", "--config", "{path}"],
      2, "{path}: config key 'lowercase'"),
+    ("graph.json", GRAPH_SURROGATE, ["color", "{path}"], 5, "{path}: not valid JSON"),
+    ("coloring.json", COLORING_SURROGATE, ["embed", "{path}", "{pizza}"], 5,
+     "{path}: not valid JSON"),
+    ("docs.jsonl", b'{"text": "ok"}\n{"text": "caf\\ud800 x"}\n',
+     ["build", "{path}", "--format", "jsonl"], 4, "{path}:2: invalid JSON"),
+    ("config.json", b'{"text_field": "\\uD800"}', ["build", "{pizza}", "--config", "{path}"],
+     2, "{path}: config"),
 ], ids=["graph_long_int", "graph_deep", "coloring_deep", "jsonl_long_int", "jsonl_deep",
         "csv_long_field", "config_deep", "config_non_utf8", "config_stopwords_list",
-        "config_punctuation_int", "config_punctuation_list", "config_lowercase_string"])
+        "config_punctuation_int", "config_punctuation_list", "config_lowercase_string",
+        "graph_lone_surrogate", "coloring_lone_surrogate", "jsonl_lone_surrogate",
+        "config_lone_surrogate"])
 def test_unparsable_input_exit_code(tmp_path, pizza_file, capsys, name, data, argv, code,
                                     message):
     path = tmp_path / name
@@ -208,6 +225,52 @@ def test_unparsable_input_exit_code(tmp_path, pizza_file, capsys, name, data, ar
     argv = [arg.format(path=path, pizza=pizza_file) for arg in argv]
     assert run(*argv, "-o", tmp_path / "out.json") == code
     assert message.format(path=path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, value", [
+    ('{"\\uD83D\\uDE00": ["\\u00e9"]}', {"\U0001F600": ["\u00e9"]}),
+    ('"\\\\ud800"', "\\ud800"),  # an escaped backslash, not a surrogate escape
+])
+def test_parse_json_loads_escapes_that_are_not_lone_surrogates(text, value):
+    assert parse_json(text) == value
+
+
+@pytest.mark.parametrize("text", ['"\\ud800"', '["\\udfff x"]', '{"\\uDBFF": 1}',
+                                  '"\\ude00\\ud83d"'])
+def test_parse_json_rejects_unpaired_surrogates(text):
+    with pytest.raises(ValueError, match="unpaired surrogate"):
+        parse_json(text)
+
+
+def test_color_graph_with_escaped_surrogate_pair(tmp_path):
+    graph = tmp_path / "graph.json"
+    graph.write_bytes(b'{"version": 1, "source_id": "", "nodes": ["\\ud83d\\ude00"], "edges": []}')
+    coloring = tmp_path / "coloring.json"
+    assert run("color", graph, "-o", coloring) == 0
+    assert json.loads(coloring.read_text(encoding="utf-8"))["labels"] == {"\U0001F600": 0}
+
+
+GRAPH_OF_VERSION = '{{"version": {}, "source_id": "", "nodes": [], "edges": []}}'
+COLORING_OF_VERSION = ('{{"version": {}, "algorithm_id": "a", "graph_hash": "h", '
+                       '"num_colors": 0, "labels": {{}}}}')
+
+
+@pytest.mark.parametrize("version, code", [("1", 0), ("true", 5), ("1.0", 5), ('"1"', 5)],
+                         ids=["int", "bool", "float", "string"])
+@pytest.mark.parametrize("name, template, argv", [
+    ("graph.json", GRAPH_OF_VERSION, ["color", "{path}"]),
+    ("coloring.json", COLORING_OF_VERSION, ["embed", "{path}", "{pizza}"]),
+], ids=["graph", "coloring"])
+def test_schema_version_is_the_integer_1(tmp_path, pizza_file, capsys, name, template, argv,
+                                         version, code):
+    path = tmp_path / name
+    path.write_text(template.format(version), encoding="utf-8")
+    argv = [arg.format(path=path, pizza=pizza_file) for arg in argv]
+    assert run(*argv, "-o", tmp_path / "out.json") == code
+    if code:
+        kind = name.split(".")[0]
+        assert (f"{path}: unsupported {kind} schema version {json.loads(version)!r}"
+                in capsys.readouterr().err)
 
 
 def test_no_temp_files_left_behind(tmp_path, pizza_file):
@@ -437,6 +500,92 @@ def test_package_all_is_the_one_declaration():
         if info.name != "__main__":  # importing it runs the CLI
             module = importlib.import_module(f"chromagraph.{info.name}")
             assert not hasattr(module, "__all__"), info.name
+
+
+OUTPUT = {"--output"}
+INGEST = OUTPUT | {"--config", "--stopwords", "--no-lowercase", "--format", "--text-field"}
+CLI_FLAGS = {
+    "build": INGEST | {"--source-id"},
+    "color": OUTPUT | {"--strategy"},
+    "kcore": OUTPUT | {"--k", "--max", "--largest-component", "--vocab-output"},
+    "psi": OUTPUT | {"--pair"},
+    "embed": INGEST,
+    "project": INGEST,
+    "generate": OUTPUT | {"--sentence-len", "--protocol", "--beta-alpha", "--beta-beta",
+                          "--max-hops", "--max-retries", "--drop-final-word", "--seed"},
+    "compare": INGEST | {"--strategy"},
+    "classify": INGEST | {"--kcore-reduce", "--test-fraction", "--alpha", "--label-field",
+                          "--seed"},
+    "tagdist": OUTPUT,
+}
+
+
+def test_each_command_takes_exactly_the_flags_it_reads():
+    [commands] = [action.choices for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    flags = {name: {action.option_strings[0] for action in sub._actions
+                    if action.option_strings and action.dest != "help"}
+             for name, sub in commands.items()}
+    assert flags == CLI_FLAGS
+    assert sum(map(len, flags.values())) == 56
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["color", "g.json", "--seed", "5"], "--seed"),
+    (["generate", "g.json", "c.json", "--config", "cfg.json"], "--config"),
+    (["tagdist", "c.json", "tags.tsv", "--stopwords", "sw.txt"], "--stopwords"),
+    (["build", "corpus.txt", "--label-field", "spam"], "--label-field"),
+], ids=["color", "generate", "tagdist", "build"])
+def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "-o", tmp_path / "out.json")
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_manifest_lists_stopword_file_named_in_config(tmp_path, pizza_file):
+    stops = tmp_path / "stop.txt"
+    stops.write_text("pizza\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"stopwords": str(stops)}), encoding="utf-8")
+    out = tmp_path / "g.json"
+    assert run("build", pizza_file, "--config", config, "-o", out) == 0
+    assert "pizza" not in json.loads(out.read_text())["nodes"]
+    manifest = json.loads((tmp_path / "g.json.manifest.json").read_text())
+    assert manifest["inputs"] == {str(pizza_file): _sha256(pizza_file),
+                                  str(config): _sha256(config), str(stops): _sha256(stops)}
+    assert manifest["options"]["ingest"]["stopword_count"] == 1
+    assert manifest["seed"] is None
+
+
+def test_stopwords_flag_replaces_config_entry_unread(tmp_path, pizza_file):
+    missing = tmp_path / "absent.txt"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"stopwords": str(missing)}), encoding="utf-8")
+    stops = tmp_path / "stop.txt"
+    stops.write_text("pizza\nlove\n", encoding="utf-8")
+    out = tmp_path / "g.json"
+    assert run("build", pizza_file, "--config", config, "--stopwords", stops, "-o", out) == 0
+    manifest = json.loads((tmp_path / "g.json.manifest.json").read_text())
+    assert list(manifest["inputs"]) == [str(pizza_file), str(config), str(stops)]
+    assert manifest["options"]["ingest"]["stopword_count"] == 2
+
+
+def test_manifest_seed_is_the_commands_own_or_null(tmp_path, pizza_file):
+    graph_path, coloring_path = color_pizza(tmp_path, pizza_file)
+    out = tmp_path / "s.json"
+    assert run("generate", graph_path, coloring_path, "--seed", 4, "-o", out) == 0
+    manifest = json.loads((tmp_path / "s.json.manifest.json").read_text())
+    assert list(manifest["inputs"]) == [str(graph_path), str(coloring_path)]
+    assert manifest["seed"] == 4
+    color_manifest = json.loads((tmp_path / "coloring.json.manifest.json").read_text())
+    assert list(color_manifest["inputs"]) == [str(graph_path)]
+    assert color_manifest["seed"] is None
 
 
 def test_module_entrypoint_smoke(tmp_path, pizza_file):
