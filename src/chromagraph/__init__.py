@@ -16,7 +16,7 @@ from .coloring import (ColoringMismatchError, ImproperColoringError, check_prope
                        tag_distribution_by_color)
 from .corpus import (Corpus, CorpusFormatError, Document, IngestConfig, load_corpus,
                      load_labeled_corpus, read_stopwords, tokenize)
-from .graph import BigramGraph, build_graph, degree_view, load_graph, merge, save_graph
+from .graph import BigramGraph, build_graph, load_graph, merge, save_graph
 from .kcore import (KCoreError, KCoreSubgraph, core_decomposition, core_report, extract_kcore,
                     reduce_corpus)
 from .walker import (PathFinder, WalkerConfig, WalkerError, find_path, generate, path_density,
@@ -48,7 +48,6 @@ __all__ = [
     "core_decomposition",
     "core_report",
     "cosine",
-    "degree_view",
     "embed_text",
     "evaluate_predictions",
     "extract_kcore",

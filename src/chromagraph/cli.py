@@ -41,7 +41,7 @@ from .coloring import (ColoringMismatchError, STRATEGIES, chromatic_similarity, 
                        similarity_matrix, tag_distribution_by_color)
 from .corpus import (Corpus, CorpusFormatError, FORMATS, IngestConfig, load_corpus,
                      load_labeled_corpus, read_stopwords, read_utf8)
-from .graph import BigramGraph, build_graph, graph_from_payload, load_graph, save_graph
+from .graph import BigramGraph, build_graph, graph_from_payload, load_graph
 from .kcore import KCoreError, core_decomposition, core_report, extract_kcore, reduce_corpus
 from .walker import PROTOCOLS, WalkerConfig, WalkerError, generate
 
@@ -103,14 +103,18 @@ def _ingest_config(args) -> tuple[IngestConfig, list]:
     return IngestConfig(**values), [p for p in (args.config, stopwords) if p]
 
 
-def _config_summary(config: IngestConfig) -> dict:
-    return {
+def _config_summary(config: IngestConfig, format: str, labeled: bool = False) -> dict:
+    """The ingest settings a load of ``format`` reads: fields only where records have them."""
+    summary = {
         "lowercase": config.lowercase,
         "stopword_count": len(config.stopwords),
         "punctuation": "".join(sorted(config.punctuation)),
-        "text_field": config.text_field,
-        "label_field": config.label_field,
     }
+    if format != "plain":
+        summary["text_field"] = config.text_field
+    if labeled:
+        summary["label_field"] = config.label_field
+    return summary
 
 
 def _write_manifest(args, options: dict, inputs, outputs, t0) -> None:
@@ -139,35 +143,42 @@ def _cache_key(raw: bytes, format: str, source_id, config: IngestConfig) -> str:
     return sha256_hex(raw + desc.encode("utf-8"))
 
 
-def _build_graph_cached(path, format: str, config: IngestConfig, source_id) -> BigramGraph:
+def _build_graph_cached(path, format: str, config: IngestConfig,
+                        source_id) -> tuple[BigramGraph, bytes]:
+    """The graph and its canonical bytes, serialised once."""
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
-        return build_graph(load_corpus(path, format, config, source_id))
+        graph = build_graph(load_corpus(path, format, config, source_id))
+        return graph, graph.canonical_bytes()
     raw = Path(path).read_bytes()
     key = _cache_key(raw, format, source_id, config)
     cache_path = Path(cache_dir) / f"graph-{key}.json.gz"
     try:
-        payload = parse_json(gzip.decompress(cache_path.read_bytes()).decode("utf-8"))
-        return graph_from_payload(payload, str(cache_path))
+        # one expression, so the parsed entry is freed before the graph is serialised
+        graph = graph_from_payload(
+            parse_json(gzip.decompress(cache_path.read_bytes()).decode("utf-8")), str(cache_path))
     except (OSError, EOFError, ValueError, zlib.error):
         pass  # an absent or corrupt entry is a miss: rebuild and rewrite it
+    else:
+        return graph, graph.canonical_bytes()
     graph = build_graph(load_corpus(path, format, config, source_id))
+    data = graph.canonical_bytes()
     try:
         # level 9, gzip's default, takes about 4x as long for a few bytes less
-        atomic_write_bytes(cache_path, gzip.compress(graph.canonical_bytes(), compresslevel=6))
+        atomic_write_bytes(cache_path, gzip.compress(data, compresslevel=6))
     except OSError:
         pass  # an unwritable cache only skips the write; the run still succeeds
-    return graph
+    return graph, data
 
 
 def _cmd_build(args):
     config, read = _ingest_config(args)
-    graph = _build_graph_cached(args.corpus, args.format, config, args.source_id)
-    save_graph(graph, args.output)
+    graph, data = _build_graph_cached(args.corpus, args.format, config, args.source_id)
+    atomic_write_bytes(args.output, data)
     return {
         "format": args.format,
         "source_id": graph.source_id,
-        "ingest": _config_summary(config),
+        "ingest": _config_summary(config, args.format),
         "nodes": graph.node_count,
         "edges": graph.edge_count,
     }, [args.corpus, *read], [args.output]
@@ -251,7 +262,7 @@ def _cmd_embed(args):
     atomic_write_bytes(args.output, _vectors_jsonl(corpus.docs, vectors))
     return {
         "format": args.format,
-        "ingest": _config_summary(config),
+        "ingest": _config_summary(config, args.format),
         "documents": len(corpus.docs),
     }, [args.coloring, args.corpus, *read], [args.output]
 
@@ -265,7 +276,7 @@ def _cmd_project(args):
     print(f"coverage {result.coverage:.6f}")
     return {
         "format": args.format,
-        "ingest": _config_summary(config),
+        "ingest": _config_summary(config, args.format),
         "documents": len(corpus.docs),
         "coverage": result.coverage,
     }, [args.coloring, args.corpus, *read], [args.output]
@@ -349,7 +360,7 @@ def _cmd_compare(args):
     return {
         "format": args.format,
         "strategy": args.strategy,
-        "ingest": _config_summary(config),
+        "ingest": _config_summary(config, args.format),
         "corpora": len(corpora),
     }, [*args.corpora, *read], [args.output]
 
@@ -406,7 +417,7 @@ def _cmd_classify(args):
     atomic_write_bytes(args.output, canonical_json_bytes(report))
     return {
         "format": args.format,
-        "ingest": _config_summary(config),
+        "ingest": _config_summary(config, args.format, labeled=True),
         "kcore_reduce": args.kcore_reduce,
         "test_fraction": args.test_fraction,
         "alpha": args.alpha,

@@ -9,7 +9,6 @@ graph is immutable and safe for unlimited concurrent readers.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import pairwise
 
 from ._files import (SchemaError, atomic_write_bytes, canonical_json_bytes, check_version,
@@ -121,19 +120,6 @@ class BigramGraph:
                 f"source_id={self.source_id!r})")
 
 
-@dataclass(frozen=True)
-class DegreeView:
-    """Unweighted in/out/total degrees over distinct edges.
-
-    A self-loop at v contributes 1 to in_degree(v) and 1 to
-    out_degree(v), hence 2 to total_degree(v).
-    """
-
-    in_degree: dict[str, int]
-    out_degree: dict[str, int]
-    total_degree: dict[str, int]
-
-
 def build_graph(corpus: Corpus) -> BigramGraph:
     """Build the bi-gram graph of a corpus.
 
@@ -164,13 +150,6 @@ def merge(a: BigramGraph, b: BigramGraph) -> BigramGraph:
     counts = Counter(a.edges)
     counts.update(b.edges)
     return BigramGraph(a.nodes | b.nodes, counts, _merge_source_ids(a.source_id, b.source_id))
-
-
-def degree_view(g: BigramGraph) -> DegreeView:
-    """Per-node unweighted degrees over distinct edges."""
-    in_deg = {v: len(g.predecessors(v)) for v in g.nodes}
-    out_deg = {v: len(g.successors(v)) for v in g.nodes}
-    return DegreeView(in_deg, out_deg, {v: g.degree(v) for v in g.nodes})
 
 
 def save_graph(g: BigramGraph, path) -> None:

@@ -22,6 +22,13 @@ target in the hops left, and a node is expanded again only with fewer
 hops. All costs are >= 1, so an earlier expansion's (cost, path) stays
 smaller under any common suffix and the search is exact. Equal-cost
 ties go to the lexicographically smallest token sequence.
+
+The pass stops one layer short of ``max_hops - 1``: only the source is
+expanded with that many hops left, so its successors are tested for an
+edge into the deepest layer built instead. A node with more successors
+than there are nodes within its remaining hops probes its edges into
+those nodes rather than scanning its successors. Both keep the pushed
+(cost, path) entries, and so the results and ``stats()``, unchanged.
 """
 
 from __future__ import annotations
@@ -29,8 +36,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from itertools import pairwise
+from heapq import heapify, heappop, heappush
+from itertools import chain, pairwise
 
 from .coloring import Coloring, ColoringMismatchError
 from .graph import BigramGraph
@@ -141,16 +148,17 @@ def path_density(g: BigramGraph, path) -> int:
 
 
 def _edge_costs(g: BigramGraph, protocol: str) -> dict[tuple[str, str], int]:
+    """Per-edge search costs, keyed by the graph's own edge tuples (shared, never mutated)."""
     if protocol == "min_weight":
-        return dict(g.edges)
+        return g.edges
     if protocol == "max_weight":
         w_max = max(g.edges.values(), default=0)
         return {e: 1 + w_max - w for e, w in g.edges.items()}
     totals = {v: g.degree(v) for v in g.nodes}
     if protocol == "min_density":
-        return {(s, d): totals[d] for s, d in g.edges}
+        return {e: totals[e[1]] for e in g.edges}
     d_max = max(totals.values(), default=0)
-    return {(s, d): 1 + d_max - totals[d] for s, d in g.edges}
+    return {e: 1 + d_max - totals[e[1]] for e in g.edges}
 
 
 class PathFinder:
@@ -202,20 +210,42 @@ class PathFinder:
         predecessors = self.graph.predecessors
         max_hops = self.max_hops
         far = max_hops + 1  # more hops than any search uses
-        # togo[v]: fewest hops v -> target; a node absent is more than max_hops - 1 away
+        # Reverse breadth-first layers 0..max_hops-2 from the target. togo[v]
+        # is v's fewest hops to it (absent: more than max_hops - 2), and
+        # near[:ends[d]] lists the nodes at most d hops from it.
         togo = {target: 0}
+        near = [target]
+        ends = [1]
         frontier = [target]
-        for dist in range(1, max_hops):
+        for dist in range(1, max_hops - 1):
             reached = []
             for v in frontier:
                 for u in predecessors(v):
                     if u not in togo:
                         togo[u] = dist
                         reached.append(u)
+            near += reached
+            ends.append(len(near))
             frontier = reached
-        heap = [(0, (source,))]
-        expanded: dict[str, int] = {}  # node -> fewest hops it was expanded with
-        pushed, expansions = 1, 0
+        # Layer max_hops-1 is only needed for the source's own successors, as
+        # the source alone is expanded with that many hops left. A successor
+        # outside togo lies in it iff it has an edge into the deepest layer
+        # built (frontier): intersect the successors with that layer's
+        # predecessors, or test each successor, whichever side is smaller.
+        # With max_hops 1 the source has no hops to spare: only the target.
+        out = successors(source)
+        firsts = togo.keys() & out
+        if max_hops > 1:
+            rest = set(out).difference(togo)
+            if len(rest) > len(frontier):
+                firsts |= rest.intersection(chain.from_iterable(map(predecessors, frontier)))
+            else:
+                firsts.update(nxt for nxt in rest if not togo.keys().isdisjoint(successors(nxt)))
+        firsts.discard(source)
+        heap = [(cost_of[(source, nxt)], (source, nxt)) for nxt in firsts]
+        heapify(heap)
+        expanded: dict[str, int] = {source: 0}  # node -> fewest hops it was expanded with
+        pushed, expansions = 1 + len(heap), 1
         found = None
         while heap:
             cost, path = heappop(heap)
@@ -229,10 +259,21 @@ class PathFinder:
             expanded[node] = hops
             expansions += 1
             left = max_hops - hops - 1
-            for nxt in successors(node):
-                if togo.get(nxt, far) <= left and expanded.get(nxt, far) > hops + 1:
-                    heappush(heap, (cost + cost_of[(node, nxt)], path + (nxt,)))
-                    pushed += 1
+            out = successors(node)
+            nearby = ends[left]
+            if len(out) > nearby:
+                # more successors than nodes within `left` hops of the target
+                # (at the last hop, just the target): probe edges into those
+                for nxt in near[:nearby]:
+                    step = cost_of.get((node, nxt))
+                    if step is not None and expanded.get(nxt, far) > hops + 1:
+                        heappush(heap, (cost + step, path + (nxt,)))
+                        pushed += 1
+            else:
+                for nxt in out:
+                    if togo.get(nxt, far) <= left and expanded.get(nxt, far) > hops + 1:
+                        heappush(heap, (cost + cost_of[(node, nxt)], path + (nxt,)))
+                        pushed += 1
         self._stats.update(searches=1, states_expanded=expansions, states_pushed=pushed)
         return found
 

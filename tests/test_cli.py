@@ -599,3 +599,34 @@ def test_module_entrypoint_smoke(tmp_path, pizza_file):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["version"] == 1
+
+
+
+def _ingest(manifest_path):
+    return json.loads(Path(manifest_path).read_text())["options"]["ingest"]
+
+
+def test_manifest_ingest_records_only_fields_the_load_reads(tmp_path, pizza_file):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"label_field": "spam"}', encoding="utf-8")
+    out = tmp_path / "g.json"
+    assert run("build", pizza_file, "--text-field", "body", "--config", config, "-o", out) == 0
+    assert sorted(_ingest(tmp_path / "g.json.manifest.json")) == [
+        "lowercase", "punctuation", "stopword_count"]
+
+    src = tmp_path / "docs.jsonl"
+    src.write_text('{"body": "pizza please", "spam": "no"}\n', encoding="utf-8")
+    out = tmp_path / "j.json"
+    assert run("build", src, "--format", "jsonl", "--text-field", "body", "--config", config,
+               "-o", out) == 0
+    ingest = _ingest(tmp_path / "j.json.manifest.json")
+    assert ingest["text_field"] == "body" and "label_field" not in ingest
+
+    rows = ["body,spam"] + [f"offer {i},yes\nnotes {i},no" for i in range(4)]
+    src = tmp_path / "mail.csv"
+    src.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "m.json"
+    assert run("classify", src, "--format", "csv", "--text-field", "body", "--config", config,
+               "-o", out) == 0
+    ingest = _ingest(tmp_path / "m.json.manifest.json")
+    assert (ingest["text_field"], ingest["label_field"]) == ("body", "spam")

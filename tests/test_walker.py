@@ -6,8 +6,7 @@ from itertools import pairwise
 import pytest
 
 from chromagraph import BigramGraph, ColoringMismatchError, PathFinder, WalkerConfig, \
-    WalkerError, color_graph, degree_view, find_path, generate, path_density, \
-    sample_color_plan
+    WalkerError, color_graph, find_path, generate, path_density, sample_color_plan
 from chromagraph.walker import PROTOCOLS
 
 from conftest import random_graph
@@ -36,9 +35,9 @@ def all_simple_paths(g, src, dst, max_hops):
 
 
 def protocol_cost(g, path, protocol):
-    dv = degree_view(g)
+    total_degree = {v: len(g.successors(v)) + len(g.predecessors(v)) for v in g.nodes}
     w_max = max(g.edges.values(), default=0)
-    d_max = max(dv.total_degree.values(), default=0)
+    d_max = max(total_degree.values(), default=0)
     total = 0
     for u, v in pairwise(path):
         if protocol == "min_weight":
@@ -46,9 +45,9 @@ def protocol_cost(g, path, protocol):
         elif protocol == "max_weight":
             total += 1 + w_max - g.edges[(u, v)]
         elif protocol == "min_density":
-            total += dv.total_degree[v]
+            total += total_degree[v]
         else:
-            total += 1 + d_max - dv.total_degree[v]
+            total += 1 + d_max - total_degree[v]
     return total
 
 
@@ -205,9 +204,9 @@ def test_protocols_optimal_on_random_graphs():
 
 
 def test_path_density_matches_degree_view(pizza_graph):
-    dv = degree_view(pizza_graph)
     path = find_path(pizza_graph, "i", "pizza")
-    assert path_density(pizza_graph, path) == sum(dv.total_degree[t] for t in path)
+    assert path_density(pizza_graph, path) == sum(
+        len(pizza_graph.successors(t)) + len(pizza_graph.predecessors(t)) for t in path)
 
 
 def test_finder_mismatch_rejected(pizza_graph):
@@ -259,9 +258,33 @@ def _drawn_pairs(g, coloring, protocol, max_hops, sentence_len, seeds):
     return pairs
 
 
+def _edge_case_pairs(g, rng):
+    """Finds at the edges of the search: sources with 0 or 1 successors,
+    targets one and two hops out from hubs and from ordinary sources, a
+    target that is a hub of incoming edges."""
+    nodes = sorted(g.nodes)
+    hubs_out = sorted(nodes, key=lambda v: (-len(g.successors(v)), v))[:3]
+    hub_in = min(nodes, key=lambda v: (-len(g.predecessors(v)), v))
+    sinks = [v for v in nodes if not g.successors(v)]
+    singles = [v for v in nodes if len(g.successors(v)) == 1]
+    pairs = [(v, rng.choice(nodes)) for v in rng.sample(sinks, 3)]
+    for v in rng.sample(singles, 3):
+        (w,) = g.successors(v)
+        pairs += [(v, w), (v, rng.choice(nodes))]
+        pairs += [(v, x) for x in g.successors(w)[:1] if x != v]
+    for v in hubs_out + rng.sample(nodes, 4):
+        out = g.successors(v)
+        pairs += [(v, rng.choice(out))] if out else []
+        two = sorted({x for u in out[:50] for x in g.successors(u)} - set(out) - {v})
+        pairs += [(v, rng.choice(two))] if two else []
+    return pairs + [(rng.choice(nodes), hub_in), (hubs_out[0], hub_in)]
+
+
 # max_hops -> (seeded pairs, sentence_len, walker seeds) per protocol; the
-# unpruned search takes ~0.3 s per reachable pair at 8 hops
-_ORACLE_DRAWS = {2: (25, 8, [0, 1]), 3: (20, 8, [0]), 8: (1, 2, [0])}
+# unpruned search takes ~0.3 s per reachable pair at 8 hops, and more from
+# a hub, so the edge cases run up to 4 hops
+_ORACLE_DRAWS = {1: (25, 8, [0, 1]), 2: (25, 8, [0, 1]), 3: (20, 8, [0]), 4: (10, 8, [0]),
+                 8: (1, 2, [0])}
 
 
 @pytest.mark.parametrize("max_hops", sorted(_ORACLE_DRAWS))
@@ -272,17 +295,56 @@ def test_search_matches_unpruned_search_on_sms_graph(sms_graph, max_hops):
     rng = random.Random(max_hops)
     no_way_in = min(v for v in nodes if not g.predecessors(v))
     seeded, sentence_len, seeds = _ORACLE_DRAWS[max_hops]
+    edge_cases = _edge_case_pairs(g, random.Random(-max_hops)) if max_hops <= 4 else []
     outcomes = set()
     for protocol in PROTOCOLS:
         pairs = [tuple(rng.sample(nodes, 2)) for _ in range(seeded)]
         pairs += _drawn_pairs(g, coloring, protocol, max_hops, sentence_len, seeds)
         pairs.append((nodes[0] if nodes[0] != no_way_in else nodes[1], no_way_in))
+        pairs += edge_cases
         finder, oracle = PathFinder(g, protocol, max_hops), UnprunedFinder(g, protocol, max_hops)
         for src, dst in pairs:
             path = finder.find(src, dst)
             assert path == oracle.find(src, dst), (protocol, src, dst)
             outcomes.add(path is None)
     assert outcomes == {True, False}
+
+
+def _pinned_queries(g, max_hops):
+    """Edge cases and 30 drawn pairs; at 12 hops, where a find costs ~30 ms, 10 of them."""
+    rng = random.Random(100 + max_hops)
+    pairs = _edge_case_pairs(g, rng) + [tuple(rng.sample(sorted(g.nodes), 2)) for _ in range(30)]
+    return pairs if max_hops <= 4 else rng.sample(pairs, 10)
+
+
+# (protocol, max_hops) -> (states_pushed, states_expanded) for _pinned_queries,
+# recorded with a reverse pass to layer max_hops-1 and plain successor scans:
+# how far the pass goes and which side a scan takes change the work done per
+# state, never the states.
+_PINNED_STATS = {
+    ("max_weight", 1): (66, 56), ("min_weight", 1): (66, 56),
+    ("max_density", 1): (66, 56), ("min_density", 1): (66, 56),
+    ("max_weight", 2): (248, 111), ("min_weight", 2): (240, 103),
+    ("max_density", 2): (218, 81), ("min_density", 2): (305, 168),
+    ("max_weight", 3): (3784, 883), ("min_weight", 3): (3433, 857),
+    ("max_density", 3): (2284, 631), ("min_density", 3): (4686, 1311),
+    ("max_weight", 4): (18907, 2506), ("min_weight", 4): (14378, 2302),
+    ("max_density", 4): (13599, 2315), ("min_density", 4): (14203, 4151),
+    ("max_weight", 12): (123916, 26087), ("min_weight", 12): (121099, 27389),
+    ("max_density", 12): (139629, 30851), ("min_density", 12): (130196, 46180),
+}
+
+
+@pytest.mark.parametrize("max_hops", [1, 2, 3, 4, 12])
+def test_search_state_counts_are_pinned(sms_graph, max_hops):
+    pairs = _pinned_queries(sms_graph, max_hops)
+    for protocol in PROTOCOLS:
+        finder = PathFinder(sms_graph, protocol, max_hops)
+        for src, dst in pairs:
+            finder.find(src, dst)
+        stats = finder.stats()
+        assert (stats["states_pushed"], stats["states_expanded"]) == \
+            _PINNED_STATS[protocol, max_hops], (protocol, max_hops)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
