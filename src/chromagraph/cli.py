@@ -132,35 +132,43 @@ def _write_manifest(args, options: dict, inputs, outputs, t0) -> None:
 # -- build ------------------------------------------------------------------
 
 def _cache_key(raw: bytes, format: str, source_id, config: IngestConfig) -> str:
-    desc = json.dumps({
+    """Hash of the corpus bytes and the ingest settings a load of ``format`` reads."""
+    settings = {
         "format": format,
         "source_id": source_id,
         "lowercase": config.lowercase,
         "stopwords": sorted(config.stopwords),
         "punctuation": sorted(config.punctuation),
-        "text_field": config.text_field,
-    }, sort_keys=True)
-    return sha256_hex(raw + desc.encode("utf-8"))
+    }
+    if format != "plain":  # the rule _config_summary follows
+        settings["text_field"] = config.text_field
+    return sha256_hex(raw + json.dumps(settings, sort_keys=True).encode("utf-8"))
 
 
 def _build_graph_cached(path, format: str, config: IngestConfig,
-                        source_id) -> tuple[BigramGraph, bytes]:
-    """The graph and its canonical bytes, serialised once."""
+                        source_id) -> tuple[BigramGraph, bytes, str | None]:
+    """The graph, its canonical bytes (serialised at most once) and the cache outcome.
+
+    The outcome is "hit", "miss", or None when no cache directory is set.
+    A hit is an entry that decompresses to the canonical bytes of the
+    graph it holds; those bytes are the output as they are.
+    """
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
         graph = build_graph(load_corpus(path, format, config, source_id))
-        return graph, graph.canonical_bytes()
+        return graph, graph.canonical_bytes(), None
     raw = Path(path).read_bytes()
     key = _cache_key(raw, format, source_id, config)
     cache_path = Path(cache_dir) / f"graph-{key}.json.gz"
     try:
-        # one expression, so the parsed entry is freed before the graph is serialised
-        graph = graph_from_payload(
-            parse_json(gzip.decompress(cache_path.read_bytes()).decode("utf-8")), str(cache_path))
+        data = gzip.decompress(cache_path.read_bytes())
+        graph = graph_from_payload(parse_json(data.decode("utf-8")), str(cache_path))
     except (OSError, EOFError, ValueError, zlib.error):
         pass  # an absent or corrupt entry is a miss: rebuild and rewrite it
     else:
-        return graph, graph.canonical_bytes()
+        if sha256_hex(data) == graph.content_hash():
+            return graph, data, "hit"
+        # a valid entry that is not canonical bytes is a miss too, and is rewritten
     graph = build_graph(load_corpus(path, format, config, source_id))
     data = graph.canonical_bytes()
     try:
@@ -168,12 +176,12 @@ def _build_graph_cached(path, format: str, config: IngestConfig,
         atomic_write_bytes(cache_path, gzip.compress(data, compresslevel=6))
     except OSError:
         pass  # an unwritable cache only skips the write; the run still succeeds
-    return graph, data
+    return graph, data, "miss"
 
 
 def _cmd_build(args):
     config, read = _ingest_config(args)
-    graph, data = _build_graph_cached(args.corpus, args.format, config, args.source_id)
+    graph, data, cache = _build_graph_cached(args.corpus, args.format, config, args.source_id)
     atomic_write_bytes(args.output, data)
     return {
         "format": args.format,
@@ -181,6 +189,7 @@ def _cmd_build(args):
         "ingest": _config_summary(config, args.format),
         "nodes": graph.node_count,
         "edges": graph.edge_count,
+        "cache": cache,
     }, [args.corpus, *read], [args.output]
 
 

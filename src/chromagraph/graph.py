@@ -4,12 +4,20 @@ Nodes are the unique tokens of a corpus; a directed edge (u, v) carries
 the number of times v immediately follows u inside a single document.
 Adjacent-token windows never cross document boundaries. A finished
 graph is immutable and safe for unlimited concurrent readers.
+
+Untrusted input has two validating entry points: ``BigramGraph(...)``
+for in-memory nodes and edges, and ``graph_from_payload`` (behind
+``load_graph``) for parsed graph files. Both check every edge once and
+then use the trusted construction ``BigramGraph._trusted``, which
+``build_graph``, ``merge`` and ``extract_kcore`` call directly because
+their input cannot fail the checks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import pairwise
+from itertools import chain, pairwise
+from operator import lt
 
 from ._files import (SchemaError, atomic_write_bytes, canonical_json_bytes, check_version,
                      read_json, sha256_hex)
@@ -24,6 +32,7 @@ class BigramGraph:
     Every edge endpoint is a node, every weight is a positive integer,
     and (src, dst) appears at most once: the weight is the multiplicity.
     Self-loops (a token following itself) are stored with their count.
+    The constructor checks these invariants and raises SchemaError.
     """
 
     __slots__ = ("nodes", "edges", "source_id", "_succ", "_pred", "_hash")
@@ -36,6 +45,22 @@ class BigramGraph:
                 raise SchemaError(f"edge ({src!r}, {dst!r}) has an endpoint outside the node set")
             if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
                 raise SchemaError(f"edge ({src!r}, {dst!r}) has invalid weight {weight!r}")
+        self._setup(nodes, edges, source_id, None)
+
+    @classmethod
+    def _trusted(cls, nodes: frozenset, edges: dict, source_id: str,
+                 digest: str | None = None) -> BigramGraph:
+        """The graph over ``nodes`` and ``edges`` as given: no checks, no copies.
+
+        The caller guarantees the class invariants and hands over a
+        frozenset and a plain dict it no longer mutates. ``digest``,
+        when known, must be the SHA-256 of the graph's canonical bytes.
+        """
+        graph = cls.__new__(cls)
+        graph._setup(nodes, edges, source_id, digest)
+        return graph
+
+    def _setup(self, nodes, edges, source_id, digest) -> None:
         self.nodes = nodes
         self.edges = edges
         self.source_id = source_id
@@ -46,7 +71,7 @@ class BigramGraph:
             pred.setdefault(dst, []).append(src)
         self._succ = {v: tuple(sorted(ns)) for v, ns in succ.items()}
         self._pred = {v: tuple(sorted(ns)) for v, ns in pred.items()}
-        self._hash = None
+        self._hash = digest
 
     @property
     def node_count(self) -> int:
@@ -86,11 +111,12 @@ class BigramGraph:
         """Weight of edge (src, dst); 0 when the edge is absent."""
         return self.edges.get((src, dst), 0)
 
-    def to_payload(self) -> dict:
-        """Canonical on-disk structure: sorted nodes, index-based edges."""
+    def _canonical_payload(self) -> dict:
+        """The canonical on-disk structure, each edge entry a tuple."""
         nodes = sorted(self.nodes)
         index = {token: i for i, token in enumerate(nodes)}
-        edges = sorted([index[s], index[d], w] for (s, d), w in self.edges.items())
+        # tuples sort faster than lists, and json.dumps writes both as arrays
+        edges = sorted((index[s], index[d], w) for (s, d), w in self.edges.items())
         return {
             "version": GRAPH_SCHEMA_VERSION,
             "source_id": self.source_id,
@@ -98,10 +124,20 @@ class BigramGraph:
             "edges": edges,
         }
 
+    def to_payload(self) -> dict:
+        """Canonical on-disk structure: sorted nodes, index-based edges.
+
+        It is shaped as ``json.loads`` returns it, each edge entry a list.
+        """
+        payload = self._canonical_payload()
+        payload["edges"] = [list(entry) for entry in payload["edges"]]
+        return payload
+
     def canonical_bytes(self) -> bytes:
-        return canonical_json_bytes(self.to_payload())
+        return canonical_json_bytes(self._canonical_payload())
 
     def content_hash(self) -> str:
+        """SHA-256 of the canonical bytes, computed at most once per graph."""
         if self._hash is None:
             self._hash = sha256_hex(self.canonical_bytes())
         return self._hash
@@ -127,12 +163,10 @@ def build_graph(corpus: Corpus) -> BigramGraph:
     weight counts occurrences of that adjacent pair across documents.
     An empty corpus yields an empty graph.
     """
-    nodes: set[str] = set()
-    counts: Counter[tuple[str, str]] = Counter()
-    for doc in corpus.docs:
-        nodes.update(doc.tokens)
-        counts.update(pairwise(doc.tokens))
-    return BigramGraph(nodes, counts, corpus.source_id)
+    docs = [doc.tokens for doc in corpus.docs]
+    counts = Counter(chain.from_iterable(map(pairwise, docs)))
+    return BigramGraph._trusted(frozenset(chain.from_iterable(docs)), dict(counts),
+                                corpus.source_id)
 
 
 def _merge_source_ids(a: str, b: str) -> str:
@@ -149,7 +183,8 @@ def merge(a: BigramGraph, b: BigramGraph) -> BigramGraph:
     """
     counts = Counter(a.edges)
     counts.update(b.edges)
-    return BigramGraph(a.nodes | b.nodes, counts, _merge_source_ids(a.source_id, b.source_id))
+    return BigramGraph._trusted(a.nodes | b.nodes, dict(counts),
+                                _merge_source_ids(a.source_id, b.source_id))
 
 
 def save_graph(g: BigramGraph, path) -> None:
@@ -167,8 +202,23 @@ def load_graph(path) -> BigramGraph:
     return graph_from_payload(read_json(path), str(path))
 
 
+def _is_index_triple(entry) -> bool:
+    return all(isinstance(x, int) and not isinstance(x, bool) for x in entry)
+
+
+def _strictly_ascending(items: list) -> bool:
+    return all(map(lt, items, items[1:]))
+
+
 def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
-    """Validate a parsed graph payload and construct the graph."""
+    """Validate a parsed graph payload and construct the graph.
+
+    Each edge entry is checked once. A payload already in canonical
+    order (nodes and edge entries strictly ascending), as every file
+    ``save_graph`` writes is, is its own canonical form: its one dump
+    gives the content hash, so the graph is not serialised again. Any
+    other valid payload loads too and is hashed when first asked.
+    """
     if not isinstance(payload, dict):
         raise SchemaError(f"{name}: graph file must hold a JSON object")
     check_version(payload, GRAPH_SCHEMA_VERSION, name, "graph")
@@ -177,19 +227,23 @@ def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
     source_id = payload.get("source_id", "")
     if not isinstance(nodes, list) or not all(isinstance(t, str) for t in nodes):
         raise SchemaError(f"{name}: 'nodes' must be a list of strings")
-    if len(set(nodes)) != len(nodes):
+    node_set = frozenset(nodes)
+    if len(node_set) != len(nodes):
         raise SchemaError(f"{name}: duplicate node entries")
     if not isinstance(edges, list):
         raise SchemaError(f"{name}: 'edges' must be a list")
     if not isinstance(source_id, str):
         raise SchemaError(f"{name}: 'source_id' must be a string")
+    count = len(nodes)
     edge_map: dict[tuple[str, str], int] = {}
     for entry in edges:
-        if (not isinstance(entry, list) or len(entry) != 3
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)):
+        if not isinstance(entry, list) or len(entry) != 3:
             raise SchemaError(f"{name}: edge entry {entry!r} is not [src, dst, weight]")
         si, di, weight = entry
-        if not (0 <= si < len(nodes)) or not (0 <= di < len(nodes)):
+        # exact ints are the common case; the full test admits int subclasses, not bool
+        if not (type(si) is type(di) is type(weight) is int) and not _is_index_triple(entry):
+            raise SchemaError(f"{name}: edge entry {entry!r} is not [src, dst, weight]")
+        if not (0 <= si < count and 0 <= di < count):
             raise SchemaError(f"{name}: edge {entry!r} references an absent node")
         key = (nodes[si], nodes[di])
         if key in edge_map:
@@ -197,4 +251,15 @@ def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
         if weight < 1:
             raise SchemaError(f"{name}: edge {entry!r} has non-positive weight")
         edge_map[key] = weight
-    return BigramGraph(nodes, edge_map, source_id)
+    content_hash = None
+    if _strictly_ascending(nodes) and _strictly_ascending(edges):
+        try:
+            content_hash = sha256_hex(canonical_json_bytes({
+                "version": GRAPH_SCHEMA_VERSION,
+                "source_id": source_id,
+                "nodes": nodes,
+                "edges": edges,
+            }))
+        except ValueError:
+            pass  # a lone surrogate (UnicodeEncodeError) or an over-long int: hash lazily
+    return BigramGraph._trusted(node_set, edge_map, source_id, content_hash)

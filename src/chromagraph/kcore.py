@@ -128,7 +128,7 @@ def extract_kcore(g: BigramGraph, k: int | None = None, *,
     else:
         n_components = len(components)
     edges = {(s, d): w for (s, d), w in g.edges.items() if s in retained and d in retained}
-    sub = BigramGraph(retained, edges, g.source_id)
+    sub = BigramGraph._trusted(retained, edges, g.source_id)
     return KCoreSubgraph(k, sub, retained, frozenset(g.nodes - retained), n_components)
 
 

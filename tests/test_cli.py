@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 import chromagraph
+from chromagraph import IngestConfig
 from chromagraph._files import parse_json
-from chromagraph.cli import build_parser, main
+from chromagraph.cli import _cache_key, build_parser, main
 
 from conftest import PIZZA_LINES
 
@@ -124,6 +125,16 @@ def _truncate(data):
     return data[:len(data) // 2]
 
 
+def _pretty_printed(data):
+    return gzip.compress(json.dumps(json.loads(gzip.decompress(data)), indent=2).encode())
+
+
+def _edges_reversed(data):
+    payload = json.loads(gzip.decompress(data))
+    payload["edges"].reverse()
+    return gzip.compress(json.dumps(payload, separators=(",", ":")).encode() + b"\n")
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda data: b"not gzip at all",
     _truncate,
@@ -131,8 +142,10 @@ def _truncate(data):
     lambda data: gzip.compress(b'{"version": 99, "source_id": "", "nodes": [], "edges": []}'),
     lambda data: gzip.compress(b"[" * 100_000),
     lambda data: gzip.compress(b'{"version": 1, "source_id": "\\ud800", "nodes": [], "edges": []}'),
+    _pretty_printed,
+    _edges_reversed,
 ], ids=["bad_gzip", "truncated_gzip", "bad_json", "wrong_version", "deep_nesting",
-        "lone_surrogate"])
+        "lone_surrogate", "pretty_printed", "edges_reversed"])
 def test_build_corrupt_cache_entry_is_a_miss(tmp_path, pizza_file, monkeypatch, corrupt):
     plain = build_pizza(tmp_path, pizza_file)
     cache = tmp_path / "cache"
@@ -144,6 +157,57 @@ def test_build_corrupt_cache_entry_is_a_miss(tmp_path, pizza_file, monkeypatch, 
     assert run("build", pizza_file, "-o", rebuilt) == 0
     assert rebuilt.read_bytes() == plain.read_bytes()
     assert gzip.decompress(entry.read_bytes()) == plain.read_bytes()
+
+
+def _cache_outcome(output):
+    return json.loads(Path(str(output) + ".manifest.json").read_text())["options"]["cache"]
+
+
+def test_build_manifest_records_cache_outcome(tmp_path, pizza_file, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("CHROMAGRAPH_CACHE_DIR", str(cache))
+    outcomes = []
+    for step, change in enumerate((None, None, lambda data: b"corrupt", _edges_reversed)):
+        if change:
+            [entry] = cache.glob("graph-*.json.gz")
+            entry.write_bytes(change(entry.read_bytes()))
+        assert run("build", pizza_file, "-o", tmp_path / f"{step}.json") == 0
+        outcomes.append(_cache_outcome(tmp_path / f"{step}.json"))
+    monkeypatch.delenv("CHROMAGRAPH_CACHE_DIR")
+    assert run("build", pizza_file, "-o", tmp_path / "uncached.json") == 0
+    outcomes.append(_cache_outcome(tmp_path / "uncached.json"))
+    assert outcomes == ["miss", "hit", "miss", "miss", None]
+
+
+def test_build_cache_key_ignores_text_field_of_plain_corpus(tmp_path, pizza_file, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("CHROMAGRAPH_CACHE_DIR", str(cache))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run("build", pizza_file, "-o", a) == 0
+    assert run("build", pizza_file, "--text-field", "body", "-o", b) == 0
+    assert len(list(cache.glob("graph-*.json.gz"))) == 1
+    assert _cache_outcome(b) == "hit"
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_build_cache_key_reads_text_field_of_records(tmp_path, monkeypatch):
+    src = tmp_path / "docs.jsonl"
+    src.write_text('{"text": "one two", "body": "three four"}\n', encoding="utf-8")
+    monkeypatch.setenv("CHROMAGRAPH_CACHE_DIR", str(tmp_path / "cache"))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run("build", src, "--format", "jsonl", "-o", a) == 0
+    assert run("build", src, "--format", "jsonl", "--text-field", "body", "-o", b) == 0
+    assert _cache_outcome(b) == "miss"
+    assert json.loads(b.read_text())["nodes"] == ["four", "three"]
+
+
+@pytest.mark.parametrize("format, key", [
+    ("csv", "cb2dc0d16a370ca1e9b469800c77b60449fed39bfe3c5a7a31cc3428e861c130"),
+    ("jsonl", "1e53fd13fe3d0f54d7f2fa266c4dca97f1460a91e6b7b034fcd3bd483661c191"),
+])
+def test_cache_keys_of_record_formats_are_pinned(format, key):
+    # a changed key turns every cache entry already written into a miss
+    assert _cache_key(b"one two\n", format, "sid", IngestConfig()) == key
 
 
 def test_build_unwritable_cache_skips_the_write(tmp_path, pizza_file, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -9,7 +10,7 @@ from chromagraph import BigramGraph, Corpus, SchemaError, build_graph, load_grap
     save_graph
 from chromagraph.graph import graph_from_payload
 
-from conftest import json_values, make_pizza_corpus, random_graph
+from conftest import DATA_DIR, json_values, make_pizza_corpus, random_graph
 
 
 documents = st.lists(
@@ -174,6 +175,94 @@ def test_graph_from_payload_raises_only_schema_error(payload):
     except SchemaError:
         return
     assert graph_from_payload(graph.to_payload()) == graph
+
+
+def shuffled_payload(g: BigramGraph, rng: random.Random) -> dict:
+    """The payload of ``g`` with nodes and edge entries shuffled, indices remapped."""
+    payload = g.to_payload()
+    nodes = list(payload["nodes"])
+    rng.shuffle(nodes)
+    moved = {token: i for i, token in enumerate(nodes)}
+    old = payload["nodes"]
+    edges = [[moved[old[s]], moved[old[d]], w] for s, d, w in payload["edges"]]
+    rng.shuffle(edges)
+    return {**payload, "nodes": nodes, "edges": edges}
+
+
+def test_payload_load_matches_in_memory_graph():
+    rng = random.Random(11)
+    for i in range(40):
+        g = random_graph(rng, 40, source_id=f"r{i}")
+        for payload in (g.to_payload(), shuffled_payload(g, rng)):
+            loaded = graph_from_payload(payload)
+            assert loaded == g
+            assert loaded.content_hash() == g.content_hash()
+            assert type(loaded.edges) is dict
+            for v in g.nodes:
+                assert loaded.successors(v) == g.successors(v)
+                assert loaded.predecessors(v) == g.predecessors(v)
+
+
+SMS_GRAPH_HASH = "8f7614da3fabe3b3144043c325a0b47a783a9760aa6408bdc6bf50a9769dc0b0"
+
+
+def test_sms_graph_hash_is_golden_by_every_route(sms_graph, tmp_path):
+    built = BigramGraph(sms_graph.nodes, sms_graph.edges, sms_graph.source_id)
+    assert built.content_hash() == SMS_GRAPH_HASH
+    path = tmp_path / "sms.json"
+    save_graph(sms_graph, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SMS_GRAPH_HASH
+    loaded = load_graph(path)
+    assert loaded == sms_graph
+    assert loaded.content_hash() == SMS_GRAPH_HASH
+    shuffled = graph_from_payload(shuffled_payload(sms_graph, random.Random(3)))
+    assert shuffled.content_hash() == SMS_GRAPH_HASH
+
+
+def test_non_canonical_file_loads_and_hashes_canonically(pizza_graph, tmp_path):
+    path = tmp_path / "pretty.json"
+    path.write_text(json.dumps(pizza_graph.to_payload(), indent=2, ensure_ascii=True))
+    loaded = load_graph(path)
+    assert loaded == pizza_graph
+    assert loaded.content_hash() == pizza_graph.content_hash()
+    assert loaded.canonical_bytes() == pizza_graph.canonical_bytes()
+
+
+@pytest.mark.parametrize("source_id, weight, error", [
+    ("\ud800", 1, UnicodeEncodeError),
+    ("", 10 ** 5000, ValueError),
+], ids=["lone_surrogate", "over_long_int"])
+def test_unserialisable_in_memory_payload_loads_and_hashes_lazily(source_id, weight, error):
+    payload = {"version": 1, "source_id": source_id, "nodes": ["a"], "edges": [[0, 0, weight]]}
+    g = graph_from_payload(payload)
+    assert g == BigramGraph({"a"}, {("a", "a"): weight}, source_id)
+    with pytest.raises(error):
+        g.content_hash()
+
+
+@pytest.mark.parametrize("edges, message", [
+    (["x"], "edge entry 'x' is not [src, dst, weight]"),
+    ([[0, 1]], "edge entry [0, 1] is not [src, dst, weight]"),
+    ([[0, 1, True]], "edge entry [0, 1, True] is not [src, dst, weight]"),
+    ([[0, 1.0, 1]], "edge entry [0, 1.0, 1] is not [src, dst, weight]"),
+    ([[-1, 0, 1]], "edge [-1, 0, 1] references an absent node"),
+    ([[0, 2, 1]], "edge [0, 2, 1] references an absent node"),
+    ([[0, 1, 1], [0, 1, 2]], "duplicate edge ('a', 'b')"),
+    ([[0, 1, 0]], "edge [0, 1, 0] has non-positive weight"),
+], ids=["non_list", "two_elements", "bool", "float", "negative_index", "index_out_of_range",
+        "duplicate", "zero_weight"])
+def test_malformed_edge_entry_messages(edges, message):
+    payload = {"version": 1, "source_id": "", "nodes": ["a", "b"], "edges": edges}
+    with pytest.raises(SchemaError) as info:
+        graph_from_payload(payload, "g.json")
+    assert str(info.value) == f"g.json: {message}"
+
+
+def test_trusted_builders_store_plain_dicts(pizza_graph):
+    a = build_graph(corpus_from([("a", "b", "a", "b")]))
+    assert a.edges == {("a", "b"): 2, ("b", "a"): 1}
+    for g in (a, pizza_graph, merge(a, pizza_graph)):
+        assert type(g.edges) is dict and type(g.nodes) is frozenset
 
 
 def test_constructor_enforces_invariants():
