@@ -172,8 +172,9 @@ def _build_graph_cached(path, format: str, config: IngestConfig,
     graph = build_graph(load_corpus(path, format, config, source_id))
     data = graph.canonical_bytes()
     try:
-        # level 9, gzip's default, takes about 4x as long for a few bytes less
-        atomic_write_bytes(cache_path, gzip.compress(data, compresslevel=6))
+        # level 1 writes the SMS graph 4x as fast as level 6 for an entry a fifth
+        # larger; every level decompresses to the same bytes, so any entry reads
+        atomic_write_bytes(cache_path, gzip.compress(data, compresslevel=1))
     except OSError:
         pass  # an unwritable cache only skips the write; the run still succeeds
     return graph, data, "miss"

@@ -118,6 +118,9 @@ def color_graph(g: BigramGraph, strategy: str = "degree_desc") -> Coloring:
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown coloring strategy: {strategy!r} (expected one of {STRATEGIES})")
+    # read first: a loaded file's payload, kept for its hash, is then freed
+    # before the adjacency and the labels are built
+    graph_hash = g.content_hash()
     if strategy == "degree_desc":
         order = sorted(g.nodes, key=lambda t: (-g.degree(t), t))
     else:
@@ -131,7 +134,7 @@ def color_graph(g: BigramGraph, strategy: str = "degree_desc") -> Coloring:
         labels[node] = color
     num_colors = max(labels.values()) + 1 if labels else 0
     check_properness(g, labels)
-    return Coloring(labels, num_colors, f"greedy-{strategy}-v1", g.content_hash())
+    return Coloring(labels, num_colors, f"greedy-{strategy}-v1", graph_hash)
 
 
 def _check_pair(g: BigramGraph, coloring: Coloring) -> None:

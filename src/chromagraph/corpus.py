@@ -86,8 +86,12 @@ class Corpus:
 
 
 @lru_cache(maxsize=None)
-def _space_table(punctuation: frozenset[str]) -> dict[int, str]:
-    return {ord(ch): " " for ch in punctuation}
+def _space_table(punctuation: frozenset[str]) -> dict[int, int | str]:
+    # Every ASCII ordinal has an entry (itself unless it is punctuation):
+    # str.translate pays far more for a key it misses than for one it finds.
+    table: dict[int, int | str] = {i: i for i in range(128)}
+    table.update((ord(ch), " ") for ch in punctuation)
+    return table
 
 
 def tokenize(text: str, config: IngestConfig = IngestConfig()) -> Document:

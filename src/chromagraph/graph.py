@@ -9,13 +9,21 @@ Untrusted input has two validating entry points: ``BigramGraph(...)``
 for in-memory nodes and edges, and ``graph_from_payload`` (behind
 ``load_graph``) for parsed graph files. Both check every edge once and
 then use the trusted construction ``BigramGraph._trusted``, which
-``build_graph``, ``merge`` and ``extract_kcore`` call directly because
-their input cannot fail the checks.
+``build_graph``, ``merge`` and ``BigramGraph._induced`` (behind
+``extract_kcore``) call directly because their input cannot fail the
+checks.
+
+A graph does its derived work only when a caller first reads it. The
+successor and predecessor tuples are built on the first adjacency
+query, without sorting when the edges arrived in canonical order. The
+content hash is computed on the first ``content_hash`` call; a
+canonical file is then hashed from its own payload, kept until that
+call, rather than sorted and dumped again.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import chain, pairwise
 from operator import lt
 
@@ -35,7 +43,11 @@ class BigramGraph:
     The constructor checks these invariants and raises SchemaError.
     """
 
-    __slots__ = ("nodes", "edges", "source_id", "_succ", "_pred", "_hash")
+    # _succ and _pred are None until the first adjacency query (see
+    # _adjacency). _ordered records that ``edges`` iterates in canonical
+    # (src, dst) order; _kept is a canonical file's own payload, held
+    # until the first content_hash call.
+    __slots__ = ("nodes", "edges", "source_id", "_succ", "_pred", "_hash", "_ordered", "_kept")
 
     def __init__(self, nodes=(), edges=None, source_id: str = ""):
         edges = dict(edges) if edges else {}
@@ -45,33 +57,47 @@ class BigramGraph:
                 raise SchemaError(f"edge ({src!r}, {dst!r}) has an endpoint outside the node set")
             if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
                 raise SchemaError(f"edge ({src!r}, {dst!r}) has invalid weight {weight!r}")
-        self._setup(nodes, edges, source_id, None)
+        self._setup(nodes, edges, source_id)
 
     @classmethod
-    def _trusted(cls, nodes: frozenset, edges: dict, source_id: str,
-                 digest: str | None = None) -> BigramGraph:
+    def _trusted(cls, nodes: frozenset, edges: dict, source_id: str) -> BigramGraph:
         """The graph over ``nodes`` and ``edges`` as given: no checks, no copies.
 
         The caller guarantees the class invariants and hands over a
-        frozenset and a plain dict it no longer mutates. ``digest``,
-        when known, must be the SHA-256 of the graph's canonical bytes.
+        frozenset and a plain dict it no longer mutates.
         """
         graph = cls.__new__(cls)
-        graph._setup(nodes, edges, source_id, digest)
+        graph._setup(nodes, edges, source_id)
         return graph
 
-    def _setup(self, nodes, edges, source_id, digest) -> None:
+    def _setup(self, nodes, edges, source_id) -> None:
         self.nodes = nodes
         self.edges = edges
         self.source_id = source_id
-        succ: dict[str, list[str]] = {}
-        pred: dict[str, list[str]] = {}
-        for src, dst in edges:
-            succ.setdefault(src, []).append(dst)
-            pred.setdefault(dst, []).append(src)
-        self._succ = {v: tuple(sorted(ns)) for v, ns in succ.items()}
-        self._pred = {v: tuple(sorted(ns)) for v, ns in pred.items()}
-        self._hash = digest
+        self._succ = self._pred = self._hash = self._kept = None
+        self._ordered = False
+
+    def _adjacency(self) -> None:
+        """Build and publish the successor and predecessor tuples of every node."""
+        outs: defaultdict[str, list[str]] = defaultdict(list)
+        ins: defaultdict[str, list[str]] = defaultdict(list)
+        for src, dst in self.edges:
+            outs[src].append(dst)
+            ins[dst].append(src)
+        if not self._ordered:  # in canonical order every list is built sorted
+            for ns in chain(outs.values(), ins.values()):
+                ns.sort()
+        # _succ is published last, so a reader that finds it set finds
+        # both maps complete; one that finds it unset builds its own
+        self._pred = {v: tuple(ns) for v, ns in ins.items()}
+        self._succ = {v: tuple(ns) for v, ns in outs.items()}
+
+    def _induced(self, keep: frozenset) -> BigramGraph:
+        """The subgraph induced by ``keep``, a subset of the nodes, in this graph's edge order."""
+        edges = {(s, d): w for (s, d), w in self.edges.items() if s in keep and d in keep}
+        sub = BigramGraph._trusted(keep, edges, self.source_id)
+        sub._ordered = self._ordered
+        return sub
 
     @property
     def node_count(self) -> int:
@@ -85,10 +111,16 @@ class BigramGraph:
         """Total number of bi-gram occurrences (sum of edge weights)."""
         return sum(self.edges.values())
 
+    # Each query tests the slot instead of using __getattr__: a class that
+    # defines __getattr__ loses the interpreter's fast slot reads.
     def successors(self, token: str) -> tuple[str, ...]:
+        if self._succ is None:
+            self._adjacency()
         return self._succ.get(token, ())
 
     def predecessors(self, token: str) -> tuple[str, ...]:
+        if self._succ is None:
+            self._adjacency()
         return self._pred.get(token, ())
 
     def arcs(self, token: str) -> tuple[str, ...]:
@@ -102,6 +134,8 @@ class BigramGraph:
 
     def degree(self, token: str) -> int:
         """Unweighted total degree: the length of ``arcs(token)``."""
+        if self._succ is None:
+            self._adjacency()
         return len(self._succ.get(token, ())) + len(self._pred.get(token, ()))
 
     def has_edge(self, src: str, dst: str) -> bool:
@@ -139,7 +173,15 @@ class BigramGraph:
     def content_hash(self) -> str:
         """SHA-256 of the canonical bytes, computed at most once per graph."""
         if self._hash is None:
-            self._hash = sha256_hex(self.canonical_bytes())
+            data = None
+            kept = self._kept
+            if kept is not None:
+                try:
+                    data = canonical_json_bytes(kept)
+                except ValueError:
+                    pass  # a lone surrogate (UnicodeEncodeError) or an over-long int
+            self._hash = sha256_hex(self.canonical_bytes() if data is None else data)
+            self._kept = None
         return self._hash
 
     def __eq__(self, other) -> bool:
@@ -215,9 +257,12 @@ def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
 
     Each edge entry is checked once. A payload already in canonical
     order (nodes and edge entries strictly ascending), as every file
-    ``save_graph`` writes is, is its own canonical form: its one dump
-    gives the content hash, so the graph is not serialised again. Any
-    other valid payload loads too and is hashed when first asked.
+    ``save_graph`` writes is, is its own canonical form: the graph keeps
+    its ``nodes`` and ``edges`` lists, and the first ``content_hash``
+    call dumps them instead of sorting the graph again, then drops
+    them. The caller hands those lists over and no longer mutates them,
+    as with ``BigramGraph._trusted``. Any other valid payload loads too
+    and is sorted and dumped when its hash is first read.
     """
     if not isinstance(payload, dict):
         raise SchemaError(f"{name}: graph file must hold a JSON object")
@@ -251,15 +296,13 @@ def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
         if weight < 1:
             raise SchemaError(f"{name}: edge {entry!r} has non-positive weight")
         edge_map[key] = weight
-    content_hash = None
+    graph = BigramGraph._trusted(node_set, edge_map, source_id)
     if _strictly_ascending(nodes) and _strictly_ascending(edges):
-        try:
-            content_hash = sha256_hex(canonical_json_bytes({
-                "version": GRAPH_SCHEMA_VERSION,
-                "source_id": source_id,
-                "nodes": nodes,
-                "edges": edges,
-            }))
-        except ValueError:
-            pass  # a lone surrogate (UnicodeEncodeError) or an over-long int: hash lazily
-    return BigramGraph._trusted(node_set, edge_map, source_id, content_hash)
+        graph._ordered = True
+        graph._kept = {
+            "version": GRAPH_SCHEMA_VERSION,
+            "source_id": source_id,
+            "nodes": nodes,
+            "edges": edges,
+        }
+    return graph

@@ -127,9 +127,8 @@ def extract_kcore(g: BigramGraph, k: int | None = None, *,
         n_components = 1
     else:
         n_components = len(components)
-    edges = {(s, d): w for (s, d), w in g.edges.items() if s in retained and d in retained}
-    sub = BigramGraph._trusted(retained, edges, g.source_id)
-    return KCoreSubgraph(k, sub, retained, frozenset(g.nodes - retained), n_components)
+    return KCoreSubgraph(k, g._induced(retained), retained, frozenset(g.nodes - retained),
+                         n_components)
 
 
 def reduce_corpus(corpus: Corpus, core: KCoreSubgraph) -> Corpus:

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import chromagraph
-from chromagraph import IngestConfig
+from chromagraph import BigramGraph, IngestConfig
+from chromagraph import graph as graph_module
 from chromagraph._files import parse_json
 from chromagraph.cli import _cache_key, build_parser, main
 
@@ -119,6 +120,59 @@ def test_build_cache_round_trip(tmp_path, pizza_file, monkeypatch):
     assert len(cached) == 1
     assert run("build", pizza_file, "-o", b) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_build_cache_entry_written_at_level_6_is_a_hit(tmp_path, pizza_file, monkeypatch):
+    plain = build_pizza(tmp_path, pizza_file)
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("CHROMAGRAPH_CACHE_DIR", str(cache))
+    assert run("build", pizza_file, "-o", tmp_path / "first.json") == 0
+    [entry] = cache.glob("graph-*.json.gz")
+    assert gzip.decompress(entry.read_bytes()) == plain.read_bytes()
+    entry.write_bytes(gzip.compress(plain.read_bytes(), compresslevel=6))
+    second = tmp_path / "second.json"
+    assert run("build", pizza_file, "-o", second) == 0
+    assert _cache_outcome(second) == "hit"
+    assert second.read_bytes() == plain.read_bytes()
+
+
+@pytest.fixture()
+def graph_work(monkeypatch):
+    """Live counts of adjacency builds and of graph dumps (for a hash or canonical bytes)."""
+    counts = {"adjacency": 0, "dump": 0}
+    build_adjacency = BigramGraph._adjacency
+    dump = graph_module.canonical_json_bytes
+
+    def counting_build(self):
+        counts["adjacency"] += 1
+        build_adjacency(self)
+
+    def counting_dump(obj):
+        counts["dump"] += 1
+        return dump(obj)
+
+    monkeypatch.setattr(BigramGraph, "_adjacency", counting_build)
+    monkeypatch.setattr(graph_module, "canonical_json_bytes", counting_dump)
+    return counts
+
+
+def test_commands_build_adjacency_and_hash_only_when_read(tmp_path, pizza_file, monkeypatch,
+                                                          graph_work):
+    monkeypatch.setenv("CHROMAGRAPH_CACHE_DIR", str(tmp_path / "cache"))
+    g, c = tmp_path / "g.json", tmp_path / "c.json"
+    steps = [
+        (["build", pizza_file, "-o", g], {"adjacency": 0, "dump": 1}),  # miss
+        (["build", pizza_file, "-o", tmp_path / "hit.json"], {"adjacency": 0, "dump": 1}),
+        (["color", g, "-o", c], {"adjacency": 1, "dump": 1}),
+        (["kcore", g, "--max", "-o", tmp_path / "core.json"], {"adjacency": 1, "dump": 0}),
+        (["psi", "--pair", g, c, "--pair", g, c, "-o", tmp_path / "psi.csv"],
+         {"adjacency": 0, "dump": 2}),
+    ]
+    for argv, expected in steps:
+        graph_work.update(adjacency=0, dump=0)
+        assert run(*argv) == 0
+        assert graph_work == expected, argv[0]
+    assert _cache_outcome(tmp_path / "hit.json") == "hit"
 
 
 def _truncate(data):

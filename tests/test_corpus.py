@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -8,7 +9,7 @@ from chromagraph import Corpus, CorpusFormatError, Document, IngestConfig, load_
     load_labeled_corpus, read_stopwords, tokenize
 from chromagraph.corpus import FORMATS
 
-from conftest import PIZZA_LINES
+from conftest import DATA_DIR, PIZZA_LINES
 
 
 def test_tokenize_basic():
@@ -41,6 +42,42 @@ def test_stopwords_applied_after_lowercasing():
 def test_stopwords_without_lowercase():
     config = IngestConfig(lowercase=False, stopwords=frozenset({"the"}))
     assert tokenize("The the cat", config).tokens == ("The", "cat")
+
+
+def sparse_tokens(text: str, config: IngestConfig) -> tuple[str, ...]:
+    """``tokenize`` with a table of the punctuation alone: the reference for its full table."""
+    cleaned = text.translate({ord(ch): " " for ch in config.punctuation})
+    if config.lowercase:
+        cleaned = cleaned.lower()
+    return tuple(w for w in cleaned.split() if w not in config.stopwords)
+
+
+NON_ASCII_PUNCTUATION = IngestConfig(punctuation=frozenset(",.!?\u2026\u2013\u201c\u201d\u00bf\u3002"))
+
+
+def test_tokenize_matches_sparse_table_on_sms_corpus():
+    with open(DATA_DIR / "sms-spam.csv", encoding="utf-8", newline="") as fh:
+        texts = [row["text"] for row in csv.DictReader(fh)]
+    for config in (IngestConfig(), IngestConfig(lowercase=False), NON_ASCII_PUNCTUATION):
+        for text in texts:
+            assert tokenize(text, config).tokens == sparse_tokens(text, config)
+
+
+@pytest.mark.parametrize("text", [
+    "Caf\u00e9 na\u00efve \u2013 Stra\u00dfe\u2026 \u201cquoted\u201d, \u00c9COLE!",
+    "\u00bfQu\u00e9? \u65e5\u672c\u8a9e\u3002\u30c6\u30b9\u30c8 \u0394\u03b5\u03bb\u03c4\u03b1.",
+    "tab\there\u00a0nbsp \x00\x7f\x80 end",
+])
+@pytest.mark.parametrize("config", [IngestConfig(), NON_ASCII_PUNCTUATION],
+                         ids=["default", "non_ascii_punctuation"])
+def test_tokenize_matches_sparse_table_on_non_ascii_text(text, config):
+    assert tokenize(text, config).tokens == sparse_tokens(text, config)
+
+
+@given(st.text(max_size=200))
+def test_tokenize_matches_sparse_table(text):
+    for config in (IngestConfig(), NON_ASCII_PUNCTUATION):
+        assert tokenize(text, config).tokens == sparse_tokens(text, config)
 
 
 @given(st.text(max_size=200))

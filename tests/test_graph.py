@@ -1,14 +1,17 @@
 import hashlib
 import json
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chromagraph import BigramGraph, Corpus, SchemaError, build_graph, load_graph, merge, \
-    save_graph
+from chromagraph import BigramGraph, Corpus, Document, SchemaError, build_graph, load_graph, \
+    merge, save_graph
 from chromagraph.graph import graph_from_payload
+from chromagraph.kcore import core_decomposition, extract_kcore
 
 from conftest import DATA_DIR, json_values, make_pizza_corpus, random_graph
 
@@ -18,7 +21,6 @@ documents = st.lists(
 
 
 def corpus_from(token_lists, source_id="h"):
-    from chromagraph import Document
     return Corpus(tuple(Document(tuple(t)) for t in token_lists), source_id)
 
 
@@ -175,6 +177,12 @@ def test_graph_from_payload_raises_only_schema_error(payload):
     except SchemaError:
         return
     assert graph_from_payload(graph.to_payload()) == graph
+    rebuilt = BigramGraph(graph.nodes, graph.edges, graph.source_id)
+    try:
+        expected = rebuilt.content_hash()
+    except ValueError:  # not serialisable: a lone surrogate or an over-long int
+        return
+    assert graph.content_hash() == expected
 
 
 def shuffled_payload(g: BigramGraph, rng: random.Random) -> dict:
@@ -189,18 +197,67 @@ def shuffled_payload(g: BigramGraph, rng: random.Random) -> dict:
     return {**payload, "nodes": nodes, "edges": edges}
 
 
-def test_payload_load_matches_in_memory_graph():
+def corpus_of(g: BigramGraph) -> Corpus:
+    """A corpus whose graph is ``g``: one two-token document per unit of edge weight,
+    then each node alone."""
+    docs = [Document((s, d)) for (s, d), w in g.edges.items() for _ in range(w)]
+    docs += [Document((v,)) for v in sorted(g.nodes)]
+    return Corpus(tuple(docs), g.source_id)
+
+
+def construction_routes(g: BigramGraph, path) -> dict:
+    """Makers of fresh graphs equal to ``g``, one per construction route."""
+    save_graph(g, path)
+    edges = list(g.edges.items())
+    half = len(edges) // 2
+    rng = random.Random(len(edges))
+
+    def edges_shuffled():
+        payload = g.to_payload()
+        rng.shuffle(payload["edges"])
+        return graph_from_payload(payload)
+
+    return {
+        "constructor": lambda: BigramGraph(g.nodes, g.edges, g.source_id),
+        "build_graph": lambda: build_graph(corpus_of(g)),
+        "merge": lambda: merge(BigramGraph(g.nodes, dict(edges[:half]), g.source_id),
+                               BigramGraph(g.nodes, dict(edges[half:]), g.source_id)),
+        "canonical_payload": lambda: graph_from_payload(g.to_payload()),
+        "shuffled_payload": lambda: graph_from_payload(shuffled_payload(g, rng)),
+        "edges_shuffled_payload": edges_shuffled,
+        "load_graph": lambda: load_graph(path),
+    }
+
+
+def observe(g: BigramGraph, hash_first: bool) -> tuple:
+    """The content hash and every node's adjacency reads, the hash read first or last."""
+    digest = g.content_hash() if hash_first else None
+    reads = {v: (g.successors(v), g.predecessors(v), g.arcs(v), g.degree(v))
+             for v in sorted(g.nodes)}
+    return digest or g.content_hash(), reads
+
+
+def assert_routes_agree(g: BigramGraph, path) -> None:
+    """Every route, and its k-core at the degeneracy, reads as the in-memory graph does."""
+    expected = observe(BigramGraph(g.nodes, g.edges, g.source_id), hash_first=True)
+    decomp = core_decomposition(g)
+    retained = {v for v, c in decomp.core_number.items() if c >= decomp.degeneracy}
+    core = BigramGraph(retained, {(s, d): w for (s, d), w in g.edges.items()
+                                  if s in retained and d in retained}, g.source_id)
+    expected_core = observe(core, hash_first=True)
+    for name, make in construction_routes(g, path).items():
+        for hash_first in (True, False):
+            made = make()
+            assert made == g and type(made.edges) is dict, name
+            assert observe(made, hash_first) == expected, (name, hash_first)
+            sub = extract_kcore(made).graph
+            assert sub == core and observe(sub, hash_first) == expected_core, (name, hash_first)
+
+
+def test_every_construction_route_agrees_on_random_graphs(tmp_path):
     rng = random.Random(11)
     for i in range(40):
-        g = random_graph(rng, 40, source_id=f"r{i}")
-        for payload in (g.to_payload(), shuffled_payload(g, rng)):
-            loaded = graph_from_payload(payload)
-            assert loaded == g
-            assert loaded.content_hash() == g.content_hash()
-            assert type(loaded.edges) is dict
-            for v in g.nodes:
-                assert loaded.successors(v) == g.successors(v)
-                assert loaded.predecessors(v) == g.predecessors(v)
+        assert_routes_agree(random_graph(rng, 40, source_id=f"r{i}"), tmp_path / "g.json")
 
 
 SMS_GRAPH_HASH = "8f7614da3fabe3b3144043c325a0b47a783a9760aa6408bdc6bf50a9769dc0b0"
@@ -217,6 +274,58 @@ def test_sms_graph_hash_is_golden_by_every_route(sms_graph, tmp_path):
     assert loaded.content_hash() == SMS_GRAPH_HASH
     shuffled = graph_from_payload(shuffled_payload(sms_graph, random.Random(3)))
     assert shuffled.content_hash() == SMS_GRAPH_HASH
+
+
+def test_every_construction_route_agrees_on_sms_graph(sms_graph, tmp_path):
+    assert sms_graph.content_hash() == SMS_GRAPH_HASH
+    assert_routes_agree(sms_graph, tmp_path / "sms.json")
+
+
+def test_concurrent_first_reads_see_the_serial_adjacency(sms_graph, tmp_path):
+    path = tmp_path / "sms.json"
+    save_graph(sms_graph, path)
+    serial = observe(load_graph(path), hash_first=False)
+    fresh = load_graph(path)
+    results = [None] * 4
+    start = threading.Barrier(len(results))
+
+    def read(i):
+        start.wait(timeout=30)
+        results[i] = observe(fresh, hash_first=i % 2 == 0)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert all(result == serial for result in results)
+
+
+def test_adjacency_is_published_predecessors_first(pizza_graph):
+    # a reader that finds _succ set reads _pred without building: check at
+    # every line boundary of _adjacency that _pred is never missing then
+    g = BigramGraph(pizza_graph.nodes, pizza_graph.edges)
+    torn = []
+
+    def check(frame, event, arg):
+        if g._succ is not None and g._pred is None:
+            torn.append(frame.f_lineno)
+        return check
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 check if frame.f_code is BigramGraph._adjacency.__code__ else None)
+    try:
+        assert g.successors("i") == ("love", "usually")
+    finally:
+        sys.settrace(previous)
+    assert torn == []
 
 
 def test_non_canonical_file_loads_and_hashes_canonically(pizza_graph, tmp_path):
