@@ -37,8 +37,8 @@ from ._files import (SchemaError, atomic_write_bytes, canonical_json_bytes, pars
 from .baselines import (bow_predict, bow_train, cosine, evaluate_predictions, jaccard,
                         pearson, tfidf_centroid, tfidf_fit)
 from .coloring import (ColoringMismatchError, STRATEGIES, chromatic_similarity, color_graph,
-                       embed_text, load_coloring, project_coloring, save_coloring,
-                       similarity_matrix, tag_distribution_by_color)
+                       load_coloring, project_coloring, save_coloring, similarity_matrix,
+                       tag_distribution_by_color)
 from .corpus import (Corpus, CorpusFormatError, FORMATS, IngestConfig, load_corpus,
                      load_labeled_corpus, read_stopwords, read_utf8)
 from .graph import BigramGraph, build_graph, graph_from_payload, load_graph
@@ -154,23 +154,23 @@ def _build_graph_cached(path, format: str, config: IngestConfig,
     graph it holds; those bytes are the output as they are.
     """
     cache_dir = os.environ.get(CACHE_ENV)
-    if not cache_dir:
-        graph = build_graph(load_corpus(path, format, config, source_id))
-        return graph, graph.canonical_bytes(), None
-    raw = Path(path).read_bytes()
-    key = _cache_key(raw, format, source_id, config)
-    cache_path = Path(cache_dir) / f"graph-{key}.json.gz"
-    try:
-        data = gzip.decompress(cache_path.read_bytes())
-        graph = graph_from_payload(parse_json(data.decode("utf-8")), str(cache_path))
-    except (OSError, EOFError, ValueError, zlib.error):
-        pass  # an absent or corrupt entry is a miss: rebuild and rewrite it
-    else:
-        if sha256_hex(data) == graph.content_hash():
-            return graph, data, "hit"
-        # a valid entry that is not canonical bytes is a miss too, and is rewritten
+    cache_path = None
+    if cache_dir:
+        key = _cache_key(Path(path).read_bytes(), format, source_id, config)
+        cache_path = Path(cache_dir) / f"graph-{key}.json.gz"
+        try:
+            data = gzip.decompress(cache_path.read_bytes())
+            graph = graph_from_payload(parse_json(data.decode("utf-8")), str(cache_path))
+        except (OSError, EOFError, ValueError, zlib.error):
+            pass  # an absent or corrupt entry is a miss: rebuild and rewrite it
+        else:
+            if sha256_hex(data) == graph.content_hash():
+                return graph, data, "hit"
+            # a valid entry that is not canonical bytes is a miss too, and is rewritten
     graph = build_graph(load_corpus(path, format, config, source_id))
     data = graph.canonical_bytes()
+    if cache_path is None:
+        return graph, data, None
     try:
         # level 1 writes the SMS graph 4x as fast as level 6 for an entry a fifth
         # larger; every level decompresses to the same bytes, so any entry reads
@@ -268,7 +268,7 @@ def _cmd_embed(args):
     config, read = _ingest_config(args)
     coloring = load_coloring(args.coloring)
     corpus = load_corpus(args.corpus, args.format, config)
-    vectors = [embed_text(doc, coloring) for doc in corpus.docs]
+    vectors = project_coloring(coloring, corpus).vectors
     atomic_write_bytes(args.output, _vectors_jsonl(corpus.docs, vectors))
     return {
         "format": args.format,

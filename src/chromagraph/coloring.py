@@ -118,8 +118,8 @@ def color_graph(g: BigramGraph, strategy: str = "degree_desc") -> Coloring:
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown coloring strategy: {strategy!r} (expected one of {STRATEGIES})")
-    # read first: a loaded file's payload, kept for its hash, is then freed
-    # before the adjacency and the labels are built
+    # read first, so a loaded canonical file is hashed from its kept payload
+    # before the adjacency build releases it
     graph_hash = g.content_hash()
     if strategy == "degree_desc":
         order = sorted(g.nodes, key=lambda t: (-g.degree(t), t))

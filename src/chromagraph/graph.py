@@ -9,16 +9,17 @@ Untrusted input has two validating entry points: ``BigramGraph(...)``
 for in-memory nodes and edges, and ``graph_from_payload`` (behind
 ``load_graph``) for parsed graph files. Both check every edge once and
 then use the trusted construction ``BigramGraph._trusted``, which
-``build_graph``, ``merge`` and ``BigramGraph._induced`` (behind
-``extract_kcore``) call directly because their input cannot fail the
-checks.
+``build_graph``, ``merge`` and ``extract_kcore`` call directly because
+their input cannot fail the checks.
 
 A graph does its derived work only when a caller first reads it. The
 successor and predecessor tuples are built on the first adjacency
 query, without sorting when the edges arrived in canonical order. The
 content hash is computed on the first ``content_hash`` call; a
-canonical file is then hashed from its own payload, kept until that
-call, rather than sorted and dumped again.
+canonical file is then hashed from its own payload rather than sorted
+and dumped again. That payload is released on the first hash or
+adjacency read, whichever comes first; a hash read after it is gone
+sorts and dumps the graph, to the same bytes.
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ from .corpus import Corpus
 GRAPH_SCHEMA_VERSION = 1
 
 
+def _payload(source_id: str, nodes: list, edges: list) -> dict:
+    """The graph file's schema object, its keys in file order."""
+    return {"version": GRAPH_SCHEMA_VERSION, "source_id": source_id, "nodes": nodes,
+            "edges": edges}
+
+
 class BigramGraph:
     """Immutable weighted directed simple graph over token strings.
 
@@ -46,7 +53,7 @@ class BigramGraph:
     # _succ and _pred are None until the first adjacency query (see
     # _adjacency). _ordered records that ``edges`` iterates in canonical
     # (src, dst) order; _kept is a canonical file's own payload, held
-    # until the first content_hash call.
+    # until the first content_hash or adjacency read.
     __slots__ = ("nodes", "edges", "source_id", "_succ", "_pred", "_hash", "_ordered", "_kept")
 
     def __init__(self, nodes=(), edges=None, source_id: str = ""):
@@ -78,7 +85,8 @@ class BigramGraph:
         self._ordered = False
 
     def _adjacency(self) -> None:
-        """Build and publish the successor and predecessor tuples of every node."""
+        """Drop any kept payload; build and publish the successor and predecessor tuples."""
+        self._kept = None
         outs: defaultdict[str, list[str]] = defaultdict(list)
         ins: defaultdict[str, list[str]] = defaultdict(list)
         for src, dst in self.edges:
@@ -91,13 +99,6 @@ class BigramGraph:
         # both maps complete; one that finds it unset builds its own
         self._pred = {v: tuple(ns) for v, ns in ins.items()}
         self._succ = {v: tuple(ns) for v, ns in outs.items()}
-
-    def _induced(self, keep: frozenset) -> BigramGraph:
-        """The subgraph induced by ``keep``, a subset of the nodes, in this graph's edge order."""
-        edges = {(s, d): w for (s, d), w in self.edges.items() if s in keep and d in keep}
-        sub = BigramGraph._trusted(keep, edges, self.source_id)
-        sub._ordered = self._ordered
-        return sub
 
     @property
     def node_count(self) -> int:
@@ -145,42 +146,20 @@ class BigramGraph:
         """Weight of edge (src, dst); 0 when the edge is absent."""
         return self.edges.get((src, dst), 0)
 
-    def _canonical_payload(self) -> dict:
-        """The canonical on-disk structure, each edge entry a tuple."""
+    def canonical_bytes(self) -> bytes:
+        """Canonical on-disk bytes: sorted nodes, index-based edges sorted by index pair."""
         nodes = sorted(self.nodes)
         index = {token: i for i, token in enumerate(nodes)}
         # tuples sort faster than lists, and json.dumps writes both as arrays
         edges = sorted((index[s], index[d], w) for (s, d), w in self.edges.items())
-        return {
-            "version": GRAPH_SCHEMA_VERSION,
-            "source_id": self.source_id,
-            "nodes": nodes,
-            "edges": edges,
-        }
-
-    def to_payload(self) -> dict:
-        """Canonical on-disk structure: sorted nodes, index-based edges.
-
-        It is shaped as ``json.loads`` returns it, each edge entry a list.
-        """
-        payload = self._canonical_payload()
-        payload["edges"] = [list(entry) for entry in payload["edges"]]
-        return payload
-
-    def canonical_bytes(self) -> bytes:
-        return canonical_json_bytes(self._canonical_payload())
+        return canonical_json_bytes(_payload(self.source_id, nodes, edges))
 
     def content_hash(self) -> str:
         """SHA-256 of the canonical bytes, computed at most once per graph."""
         if self._hash is None:
-            data = None
             kept = self._kept
-            if kept is not None:
-                try:
-                    data = canonical_json_bytes(kept)
-                except ValueError:
-                    pass  # a lone surrogate (UnicodeEncodeError) or an over-long int
-            self._hash = sha256_hex(self.canonical_bytes() if data is None else data)
+            self._hash = sha256_hex(self.canonical_bytes() if kept is None
+                                    else canonical_json_bytes(kept))
             self._kept = None
         return self._hash
 
@@ -259,10 +238,11 @@ def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
     order (nodes and edge entries strictly ascending), as every file
     ``save_graph`` writes is, is its own canonical form: the graph keeps
     its ``nodes`` and ``edges`` lists, and the first ``content_hash``
-    call dumps them instead of sorting the graph again, then drops
-    them. The caller hands those lists over and no longer mutates them,
-    as with ``BigramGraph._trusted``. Any other valid payload loads too
-    and is sorted and dumped when its hash is first read.
+    call dumps them instead of sorting the graph again. The first hash
+    or adjacency read drops them. The caller hands those lists over and
+    no longer mutates them, as with ``BigramGraph._trusted``. Any other
+    valid payload loads too and is sorted and dumped when its hash is
+    first read.
     """
     if not isinstance(payload, dict):
         raise SchemaError(f"{name}: graph file must hold a JSON object")
@@ -299,10 +279,5 @@ def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
     graph = BigramGraph._trusted(node_set, edge_map, source_id)
     if _strictly_ascending(nodes) and _strictly_ascending(edges):
         graph._ordered = True
-        graph._kept = {
-            "version": GRAPH_SCHEMA_VERSION,
-            "source_id": source_id,
-            "nodes": nodes,
-            "edges": edges,
-        }
+        graph._kept = _payload(source_id, nodes, edges)
     return graph

@@ -47,11 +47,13 @@ def core_decomposition(g: BigramGraph) -> CoreDecomposition:
     """Compute every node's core number by bucket peeling.
 
     Nodes sit in buckets indexed by current degree; the scan removes
-    the minimum-degree node and decrements its unremoved neighbors,
-    never below the current level, so the scan pointer only moves
-    forward and the whole pass is O(V + E). A node's core number is
-    its degree at removal time. Core numbers are order-independent;
-    the lexicographic seeding only makes the traversal deterministic.
+    the minimum-degree node and decrements its neighbors above the
+    current level, so the scan pointer only moves forward and the whole
+    pass is O(V + E). A node's core number is its degree at removal
+    time, which it then keeps; degrees only fall, so a node has at most
+    one entry per bucket, and the degree tests skip removed nodes.
+    Core numbers are order-independent; the lexicographic seeding only
+    makes the traversal deterministic.
     """
     degrees = {v: g.degree(v) for v in g.nodes}
     if not degrees:
@@ -62,7 +64,6 @@ def core_decomposition(g: BigramGraph) -> CoreDecomposition:
         buckets[degrees[v]].append(v)
     heads = [0] * (max_degree + 1)
     core: dict[str, int] = {}
-    removed: set[str] = set()
     d = 0
     while d <= max_degree:
         bucket = buckets[d]
@@ -71,12 +72,11 @@ def core_decomposition(g: BigramGraph) -> CoreDecomposition:
             continue
         v = bucket[heads[d]]
         heads[d] += 1
-        if v in removed or degrees[v] != d:
+        if degrees[v] != d:
             continue  # stale bucket entry
         core[v] = d
-        removed.add(v)
         for u in g.arcs(v):
-            if u not in removed and degrees[u] > d:
+            if degrees[u] > d:
                 degrees[u] -= 1
                 buckets[degrees[u]].append(u)
     return CoreDecomposition(core, max(core.values(), default=0))
@@ -127,8 +127,9 @@ def extract_kcore(g: BigramGraph, k: int | None = None, *,
         n_components = 1
     else:
         n_components = len(components)
-    return KCoreSubgraph(k, g._induced(retained), retained, frozenset(g.nodes - retained),
-                         n_components)
+    edges = {(s, d): w for (s, d), w in g.edges.items() if s in retained and d in retained}
+    return KCoreSubgraph(k, BigramGraph._trusted(retained, edges, g.source_id), retained,
+                         frozenset(g.nodes - retained), n_components)
 
 
 def reduce_corpus(corpus: Corpus, core: KCoreSubgraph) -> Corpus:

@@ -492,6 +492,18 @@ def test_project_reports_coverage(tmp_path, pizza_file, capsys):
     assert line["values"][1] == -1
 
 
+def test_embed_and_project_write_identical_vectors(tmp_path, pizza_file):
+    _, coloring_path = color_pizza(tmp_path, pizza_file)
+    corpus = tmp_path / "mixed.txt"
+    corpus.write_text("\n".join(PIZZA_LINES) + "\npizza unknownword\nnothing known here\n",
+                      encoding="utf-8")
+    embedded, projected = tmp_path / "embed.jsonl", tmp_path / "project.jsonl"
+    assert run("embed", coloring_path, corpus, "-o", embedded) == 0
+    assert run("project", coloring_path, corpus, "-o", projected) == 0
+    assert embedded.read_bytes() == projected.read_bytes()
+    assert len(embedded.read_bytes().splitlines()) == len(PIZZA_LINES) + 2
+
+
 def test_generate_reproducible(tmp_path, pizza_file):
     graph_path, coloring_path = color_pizza(tmp_path, pizza_file)
     a, b = tmp_path / "s1.json", tmp_path / "s2.json"

@@ -176,18 +176,19 @@ def test_graph_from_payload_raises_only_schema_error(payload):
         graph = graph_from_payload(payload)
     except SchemaError:
         return
-    assert graph_from_payload(graph.to_payload()) == graph
     rebuilt = BigramGraph(graph.nodes, graph.edges, graph.source_id)
     try:
+        canonical = json.loads(graph.canonical_bytes())
         expected = rebuilt.content_hash()
     except ValueError:  # not serialisable: a lone surrogate or an over-long int
         return
+    assert graph_from_payload(canonical) == graph
     assert graph.content_hash() == expected
 
 
 def shuffled_payload(g: BigramGraph, rng: random.Random) -> dict:
     """The payload of ``g`` with nodes and edge entries shuffled, indices remapped."""
-    payload = g.to_payload()
+    payload = json.loads(g.canonical_bytes())
     nodes = list(payload["nodes"])
     rng.shuffle(nodes)
     moved = {token: i for i, token in enumerate(nodes)}
@@ -213,7 +214,7 @@ def construction_routes(g: BigramGraph, path) -> dict:
     rng = random.Random(len(edges))
 
     def edges_shuffled():
-        payload = g.to_payload()
+        payload = json.loads(g.canonical_bytes())
         rng.shuffle(payload["edges"])
         return graph_from_payload(payload)
 
@@ -222,7 +223,7 @@ def construction_routes(g: BigramGraph, path) -> dict:
         "build_graph": lambda: build_graph(corpus_of(g)),
         "merge": lambda: merge(BigramGraph(g.nodes, dict(edges[:half]), g.source_id),
                                BigramGraph(g.nodes, dict(edges[half:]), g.source_id)),
-        "canonical_payload": lambda: graph_from_payload(g.to_payload()),
+        "canonical_payload": lambda: graph_from_payload(json.loads(g.canonical_bytes())),
         "shuffled_payload": lambda: graph_from_payload(shuffled_payload(g, rng)),
         "edges_shuffled_payload": edges_shuffled,
         "load_graph": lambda: load_graph(path),
@@ -281,6 +282,16 @@ def test_every_construction_route_agrees_on_sms_graph(sms_graph, tmp_path):
     assert_routes_agree(sms_graph, tmp_path / "sms.json")
 
 
+def test_adjacency_read_releases_the_kept_payload(sms_graph, tmp_path):
+    path = tmp_path / "sms.json"
+    save_graph(sms_graph, path)
+    loaded = load_graph(path)
+    assert loaded._kept is not None
+    loaded.successors(min(loaded.nodes))
+    assert loaded._kept is None
+    assert loaded.content_hash() == SMS_GRAPH_HASH
+
+
 def test_concurrent_first_reads_see_the_serial_adjacency(sms_graph, tmp_path):
     path = tmp_path / "sms.json"
     save_graph(sms_graph, path)
@@ -330,7 +341,8 @@ def test_adjacency_is_published_predecessors_first(pizza_graph):
 
 def test_non_canonical_file_loads_and_hashes_canonically(pizza_graph, tmp_path):
     path = tmp_path / "pretty.json"
-    path.write_text(json.dumps(pizza_graph.to_payload(), indent=2, ensure_ascii=True))
+    payload = json.loads(pizza_graph.canonical_bytes())
+    path.write_text(json.dumps(payload, indent=2, ensure_ascii=True))
     loaded = load_graph(path)
     assert loaded == pizza_graph
     assert loaded.content_hash() == pizza_graph.content_hash()
@@ -418,3 +430,12 @@ def test_successors_sorted(pizza_graph):
     assert pizza_graph.successors("i") == ("love", "usually")
     assert pizza_graph.predecessors("pizza") == ("a", "eating")
     assert pizza_graph.successors("outside") == ()
+
+
+def test_bigram_graph_public_surface():
+    public = {name for name in dir(BigramGraph) if not name.startswith("_")}
+    assert public == {
+        "nodes", "edges", "source_id", "node_count", "edge_count", "bigram_total",
+        "successors", "predecessors", "arcs", "degree", "has_edge", "weight",
+        "canonical_bytes", "content_hash",
+    }

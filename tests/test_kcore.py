@@ -6,6 +6,7 @@ import pytest
 from chromagraph import BigramGraph, Corpus, Document, IngestConfig, KCoreError, \
     KCoreSubgraph, build_graph, color_graph, core_decomposition, core_report, extract_kcore, \
     load_corpus, read_stopwords, reduce_corpus
+from chromagraph.kcore import CoreDecomposition
 
 from conftest import DATA_DIR, PIZZA_CORE_TOKENS, neighbor_sets, random_graph
 
@@ -25,6 +26,47 @@ def fixed_point_core(g: BigramGraph, k: int) -> set[str]:
         if not drop:
             return alive
         alive -= drop
+
+
+# Bucket peeling that also tracks a set of removed nodes: the reference
+# that core_decomposition, which relies on degrees alone, is checked against.
+def removed_set_core_decomposition(g: BigramGraph) -> CoreDecomposition:
+    """Compute every node's core number by bucket peeling.
+
+    Nodes sit in buckets indexed by current degree; the scan removes
+    the minimum-degree node and decrements its unremoved neighbors,
+    never below the current level, so the scan pointer only moves
+    forward and the whole pass is O(V + E). A node's core number is
+    its degree at removal time. Core numbers are order-independent;
+    the lexicographic seeding only makes the traversal deterministic.
+    """
+    degrees = {v: g.degree(v) for v in g.nodes}
+    if not degrees:
+        return CoreDecomposition({}, 0)
+    max_degree = max(degrees.values())
+    buckets: list[list[str]] = [[] for _ in range(max_degree + 1)]
+    for v in sorted(degrees):
+        buckets[degrees[v]].append(v)
+    heads = [0] * (max_degree + 1)
+    core: dict[str, int] = {}
+    removed: set[str] = set()
+    d = 0
+    while d <= max_degree:
+        bucket = buckets[d]
+        if heads[d] >= len(bucket):
+            d += 1
+            continue
+        v = bucket[heads[d]]
+        heads[d] += 1
+        if v in removed or degrees[v] != d:
+            continue  # stale bucket entry
+        core[v] = d
+        removed.add(v)
+        for u in g.arcs(v):
+            if u not in removed and degrees[u] > d:
+                degrees[u] -= 1
+                buckets[degrees[u]].append(u)
+    return CoreDecomposition(core, max(core.values(), default=0))
 
 
 def test_pizza_decomposition(pizza_graph):
@@ -74,6 +116,16 @@ def test_peeling_matches_fixed_point_on_random_graphs():
             assert extract_kcore(g, k, decomposition=decomp).retained == \
                 frozenset(fixed_point_core(g, k))
         assert not fixed_point_core(g, decomp.degeneracy + 1)
+
+
+def test_peeling_matches_removed_set_peeling(sms_graph):
+    rng = random.Random(2024)
+    graphs = [sms_graph] + [random_graph(rng, 40) for _ in range(40)]
+    for g in graphs:
+        new, old = core_decomposition(g), removed_set_core_decomposition(g)
+        # same core numbers, assigned in the same removal order
+        assert list(new.core_number.items()) == list(old.core_number.items())
+        assert new.degeneracy == old.degeneracy
 
 
 def test_sms_graph_peeling_and_coloring_match_oracles():
