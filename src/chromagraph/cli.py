@@ -39,7 +39,7 @@ from .baselines import (bow_predict, bow_train, cosine, evaluate_predictions, ja
 from .coloring import (ColoringMismatchError, STRATEGIES, chromatic_similarity, color_graph,
                        load_coloring, project_coloring, save_coloring, similarity_matrix,
                        tag_distribution_by_color)
-from .corpus import (Corpus, CorpusFormatError, FORMATS, IngestConfig, load_corpus,
+from .corpus import (Corpus, CorpusFormatError, FORMATS, IngestConfig, fields_read, load_corpus,
                      load_labeled_corpus, read_stopwords, read_utf8)
 from .graph import BigramGraph, build_graph, graph_from_payload, load_graph
 from .kcore import KCoreError, core_decomposition, core_report, extract_kcore, reduce_corpus
@@ -105,16 +105,12 @@ def _ingest_config(args) -> tuple[IngestConfig, list]:
 
 def _config_summary(config: IngestConfig, format: str, labeled: bool = False) -> dict:
     """The ingest settings a load of ``format`` reads: fields only where records have them."""
-    summary = {
+    return {
         "lowercase": config.lowercase,
         "stopword_count": len(config.stopwords),
         "punctuation": "".join(sorted(config.punctuation)),
+        **fields_read(config, format, labeled),
     }
-    if format != "plain":
-        summary["text_field"] = config.text_field
-    if labeled:
-        summary["label_field"] = config.label_field
-    return summary
 
 
 def _write_manifest(args, options: dict, inputs, outputs, t0) -> None:
@@ -139,9 +135,8 @@ def _cache_key(raw: bytes, format: str, source_id, config: IngestConfig) -> str:
         "lowercase": config.lowercase,
         "stopwords": sorted(config.stopwords),
         "punctuation": sorted(config.punctuation),
+        **fields_read(config, format),
     }
-    if format != "plain":  # the rule _config_summary follows
-        settings["text_field"] = config.text_field
     return sha256_hex(raw + json.dumps(settings, sort_keys=True).encode("utf-8"))
 
 

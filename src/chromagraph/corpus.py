@@ -5,15 +5,21 @@ per line for plain text, one record per line for JSONL, one row per CSV
 record), then each document is normalized: punctuation characters are
 replaced with spaces, the text is lowercased unless disabled, it is
 split on whitespace, and stopwords are dropped last.
+
+Text inputs are UTF-8 with universal newlines; a leading byte-order
+mark is ignored. The record readers take the field names a load reads
+(``fields_read``) and return one tuple of values per record.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import string
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 from ._files import parse_json
@@ -79,7 +85,7 @@ class Corpus:
         return iter(self.docs)
 
     def vocabulary(self) -> frozenset[str]:
-        return frozenset(t for doc in self.docs for t in doc.tokens)
+        return frozenset(chain.from_iterable(doc.tokens for doc in self.docs))
 
     def token_count(self) -> int:
         return sum(len(doc) for doc in self.docs)
@@ -119,6 +125,14 @@ def read_stopwords(path) -> frozenset[str]:
     return frozenset(w.strip() for w in lines if w.strip())
 
 
+def fields_read(config: IngestConfig, format: str, labeled: bool = False) -> dict[str, str]:
+    """The IngestConfig fields a load reads, text field first; a plain record is its line."""
+    fields = {} if format == "plain" else {"text_field": config.text_field}
+    if labeled:
+        fields["label_field"] = config.label_field
+    return fields
+
+
 def load_corpus(path, format: str = "plain", config: IngestConfig | None = None,
                 source_id: str | None = None) -> Corpus:
     """Load and tokenize a corpus file.
@@ -129,28 +143,30 @@ def load_corpus(path, format: str = "plain", config: IngestConfig | None = None,
     a line number) for malformed records or bytes that are not UTF-8,
     ValueError for unknown formats.
     """
-    config = config or IngestConfig()
-    records = _read_records(path, format, config, with_labels=False)
-    docs = tuple(tokenize(text, config) for text, _ in records)
-    sid = source_id if source_id is not None else Path(path).name
-    return Corpus(docs, sid)
+    return _load(path, format, config, source_id, labeled=False)[0]
 
 
 def load_labeled_corpus(path, format: str = "csv", config: IngestConfig | None = None,
                         source_id: str | None = None) -> tuple[Corpus, tuple[str, ...]]:
     """Load a labeled corpus; returns (corpus, labels) aligned by index."""
+    return _load(path, format, config, source_id, labeled=True)
+
+
+def _load(path, format, config, source_id, labeled) -> tuple[Corpus, tuple[str, ...]]:
     config = config or IngestConfig()
-    records = _read_records(path, format, config, with_labels=True)
-    docs = tuple(tokenize(text, config) for text, _ in records)
-    labels = tuple(label for _, label in records)
+    records = _read_records(path, format, tuple(fields_read(config, format, labeled).values()))
+    docs = tuple(tokenize(record[0], config) for record in records)
+    labels = tuple(record[1] for record in records) if labeled else ()
     sid = source_id if source_id is not None else Path(path).name
     return Corpus(docs, sid), labels
 
 
 def read_utf8(path) -> str:
     """Text with universal newlines; a non-UTF-8 byte raises CorpusFormatError at path:line."""
-    # CR and LF never occur inside a UTF-8 sequence
-    raw = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    # CR and LF never occur inside a UTF-8 sequence. The BOM goes before decoding:
+    # the utf-8-sig codec would count error offsets from after it.
+    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -158,21 +174,22 @@ def read_utf8(path) -> str:
         raise CorpusFormatError(f"not valid UTF-8: {exc.reason}", str(path), line) from exc
 
 
-def _read_records(path, format, config, with_labels):
+def _read_records(path, format, fields):
+    """One tuple per record: the line itself for plain, else the values of ``fields``."""
     if format not in FORMATS:
         raise ValueError(f"unknown corpus format: {format!r} (expected one of {FORMATS})")
     name = str(path)
     text = read_utf8(path)
     if format == "plain":
-        if with_labels:
+        if fields:
             raise CorpusFormatError("plain format carries no labels", name)
-        return [(line, "") for line in text.splitlines()]
+        return [(line,) for line in text.splitlines()]
     if format == "jsonl":
-        return _jsonl_records(text, config, name, with_labels)
-    return _csv_records(text, config, name, with_labels)
+        return _jsonl_records(text, fields, name)
+    return _csv_records(text, fields, name)
 
 
-def _jsonl_records(text, config, name, with_labels):
+def _jsonl_records(text, fields, name):
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -183,39 +200,28 @@ def _jsonl_records(text, config, name, with_labels):
             raise CorpusFormatError(f"invalid JSON: {exc}", name, lineno) from exc
         if not isinstance(obj, dict):
             raise CorpusFormatError("record is not a JSON object", name, lineno)
-        if config.text_field not in obj:
-            raise CorpusFormatError(f"record lacks field {config.text_field!r}", name, lineno)
-        label = ""
-        if with_labels:
-            if config.label_field not in obj:
-                raise CorpusFormatError(f"record lacks field {config.label_field!r}", name, lineno)
-            label = str(obj[config.label_field])
-        records.append((str(obj[config.text_field]), label))
+        for field in fields:
+            if field not in obj:
+                raise CorpusFormatError(f"record lacks field {field!r}", name, lineno)
+        records.append(tuple(str(obj[field]) for field in fields))
     return records
 
 
-def _csv_records(text, config, name, with_labels):
+def _csv_records(text, fields, name):
     if not text.strip():
         return []
     reader = csv.DictReader(io.StringIO(text))
     records = []
     try:
-        fields = reader.fieldnames or []
-        if config.text_field not in fields:
-            raise CorpusFormatError(f"missing column {config.text_field!r}", name, 1)
-        if with_labels and config.label_field not in fields:
-            raise CorpusFormatError(f"missing column {config.label_field!r}", name, 1)
+        columns = reader.fieldnames or []
+        for field in fields:
+            if field not in columns:
+                raise CorpusFormatError(f"missing column {field!r}", name, 1)
         for row in reader:
-            value = row.get(config.text_field)
-            if value is None:
+            record = tuple(map(row.get, fields))
+            if None in record:
                 raise CorpusFormatError("row is missing columns", name, reader.line_num)
-            label = ""
-            if with_labels:
-                raw = row.get(config.label_field)
-                if raw is None:
-                    raise CorpusFormatError("row is missing columns", name, reader.line_num)
-                label = str(raw)
-            records.append((value, label))
+            records.append(record)
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         # DictReader.line_num moves only once a row parses; its inner reader's is current
         raise CorpusFormatError(f"invalid CSV: {exc}", name, reader.reader.line_num) from exc

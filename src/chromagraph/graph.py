@@ -13,13 +13,12 @@ then use the trusted construction ``BigramGraph._trusted``, which
 their input cannot fail the checks.
 
 A graph does its derived work only when a caller first reads it. The
-successor and predecessor tuples are built on the first adjacency
-query, without sorting when the edges arrived in canonical order. The
-content hash is computed on the first ``content_hash`` call; a
-canonical file is then hashed from its own payload rather than sorted
-and dumped again. That payload is released on the first hash or
-adjacency read, whichever comes first; a hash read after it is gone
-sorts and dumps the graph, to the same bytes.
+sorted successor and predecessor tuples are built on the first
+adjacency query. The content hash is computed on the first
+``content_hash`` call; a canonical file is then hashed from its own
+payload rather than sorted and dumped again. That payload is released
+on the first hash or adjacency read, whichever comes first; a hash
+read after it is gone sorts and dumps the graph, to the same bytes.
 """
 
 from __future__ import annotations
@@ -51,10 +50,9 @@ class BigramGraph:
     """
 
     # _succ and _pred are None until the first adjacency query (see
-    # _adjacency). _ordered records that ``edges`` iterates in canonical
-    # (src, dst) order; _kept is a canonical file's own payload, held
-    # until the first content_hash or adjacency read.
-    __slots__ = ("nodes", "edges", "source_id", "_succ", "_pred", "_hash", "_ordered", "_kept")
+    # _adjacency). _kept is a canonical file's own payload, held until
+    # the first content_hash or adjacency read.
+    __slots__ = ("nodes", "edges", "source_id", "_succ", "_pred", "_hash", "_kept")
 
     def __init__(self, nodes=(), edges=None, source_id: str = ""):
         edges = dict(edges) if edges else {}
@@ -82,7 +80,6 @@ class BigramGraph:
         self.edges = edges
         self.source_id = source_id
         self._succ = self._pred = self._hash = self._kept = None
-        self._ordered = False
 
     def _adjacency(self) -> None:
         """Drop any kept payload; build and publish the successor and predecessor tuples."""
@@ -92,9 +89,8 @@ class BigramGraph:
         for src, dst in self.edges:
             outs[src].append(dst)
             ins[dst].append(src)
-        if not self._ordered:  # in canonical order every list is built sorted
-            for ns in chain(outs.values(), ins.values()):
-                ns.sort()
+        for ns in chain(outs.values(), ins.values()):
+            ns.sort()
         # _succ is published last, so a reader that finds it set finds
         # both maps complete; one that finds it unset builds its own
         self._pred = {v: tuple(ns) for v, ns in ins.items()}
@@ -184,10 +180,8 @@ def build_graph(corpus: Corpus) -> BigramGraph:
     weight counts occurrences of that adjacent pair across documents.
     An empty corpus yields an empty graph.
     """
-    docs = [doc.tokens for doc in corpus.docs]
-    counts = Counter(chain.from_iterable(map(pairwise, docs)))
-    return BigramGraph._trusted(frozenset(chain.from_iterable(docs)), dict(counts),
-                                corpus.source_id)
+    counts = Counter(chain.from_iterable(pairwise(doc.tokens) for doc in corpus.docs))
+    return BigramGraph._trusted(corpus.vocabulary(), dict(counts), corpus.source_id)
 
 
 def _merge_source_ids(a: str, b: str) -> str:
@@ -278,6 +272,5 @@ def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
         edge_map[key] = weight
     graph = BigramGraph._trusted(node_set, edge_map, source_id)
     if _strictly_ascending(nodes) and _strictly_ascending(edges):
-        graph._ordered = True
         graph._kept = _payload(source_id, nodes, edges)
     return graph

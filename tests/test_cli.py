@@ -599,6 +599,18 @@ def test_tagdist_command(tmp_path, pizza_file):
         assert sum(hist.values()) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_tagdist_annotations_bom_is_ignored(tmp_path, pizza_file):
+    _, coloring_path = color_pizza(tmp_path, pizza_file)
+    outputs = []
+    for name, prefix in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        ann = tmp_path / f"{name}.tsv"
+        ann.write_bytes(prefix + b"pizza\tNOUN\nlove\tVERB\n")
+        out = tmp_path / f"{name}.json"
+        assert run("tagdist", coloring_path, ann, "-o", out) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_tagdist_bad_annotation_exit_4(tmp_path, pizza_file):
     _, coloring_path = color_pizza(tmp_path, pizza_file)
     ann = tmp_path / "tags.tsv"
@@ -760,3 +772,5 @@ def test_manifest_ingest_records_only_fields_the_load_reads(tmp_path, pizza_file
                "-o", out) == 0
     ingest = _ingest(tmp_path / "m.json.manifest.json")
     assert (ingest["text_field"], ingest["label_field"]) == ("body", "spam")
+    assert list(ingest) == ["lowercase", "stopword_count", "punctuation", "text_field",
+                            "label_field"]

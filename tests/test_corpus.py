@@ -1,4 +1,6 @@
+import codecs
 import csv
+import io
 import json
 
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from chromagraph import Corpus, CorpusFormatError, Document, IngestConfig, load_corpus, \
     load_labeled_corpus, read_stopwords, tokenize
-from chromagraph.corpus import FORMATS
+from chromagraph._files import parse_json
+from chromagraph.corpus import FORMATS, fields_read, read_utf8
 
 from conftest import DATA_DIR, PIZZA_LINES
 
@@ -202,6 +205,83 @@ def test_load_labeled_plain_rejected(tmp_path):
         load_labeled_corpus(path, "plain")
 
 
+def test_load_labeled_jsonl(tmp_path):
+    path = tmp_path / "docs.jsonl"
+    path.write_text('{"text": "Good movie", "label": "pos"}\n\n{"label": 0, "text": "Bad"}\n',
+                    encoding="utf-8")
+    corpus, labels = load_labeled_corpus(path, "jsonl")
+    assert labels == ("pos", "0")
+    assert [d.tokens for d in corpus.docs] == [("good", "movie"), ("bad",)]
+
+
+def test_load_labeled_jsonl_missing_label_field(tmp_path):
+    path = tmp_path / "docs.jsonl"
+    path.write_text('{"text": "a", "label": "x"}\n{"text": "b"}\n', encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=r"docs\.jsonl:2: record lacks field 'label'$"):
+        load_labeled_corpus(path, "jsonl")
+
+
+def test_load_labeled_csv_missing_label_column(tmp_path):
+    path = tmp_path / "docs.csv"
+    path.write_text("text,tag\na,x\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=r"docs\.csv:1: missing column 'label'$"):
+        load_labeled_corpus(path, "csv")
+
+
+def test_load_labeled_csv_row_cut_before_label(tmp_path):
+    path = tmp_path / "docs.csv"
+    path.write_text("text,label\na,x\nb\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=r"docs\.csv:3: row is missing columns$"):
+        load_labeled_corpus(path, "csv")
+
+
+@pytest.mark.parametrize("format, labeled, expected", [
+    ("plain", False, {}),
+    ("plain", True, {"label_field": "tag"}),
+    ("jsonl", False, {"text_field": "body"}),
+    ("jsonl", True, {"text_field": "body", "label_field": "tag"}),
+    ("csv", False, {"text_field": "body"}),
+    ("csv", True, {"text_field": "body", "label_field": "tag"}),
+])
+def test_fields_read(format, labeled, expected):
+    fields = fields_read(IngestConfig(text_field="body", label_field="tag"), format, labeled)
+    assert list(fields.items()) == list(expected.items())
+
+
+BOM_INPUTS = {
+    "plain": b"Hello there\r\nhello again\n",
+    "jsonl": b'{"text": "Hello there", "label": "a"}\n{"text": "hello", "label": "b"}\n',
+    "csv": b"text,label\nHello there,a\nhello,b\n",
+}
+
+
+@pytest.mark.parametrize("format", FORMATS)
+def test_leading_bom_is_ignored(tmp_path, format):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.mkdir()
+    marked.mkdir()
+    (plain / "docs").write_bytes(BOM_INPUTS[format])
+    (marked / "docs").write_bytes(codecs.BOM_UTF8 + BOM_INPUTS[format])
+    assert load_corpus(marked / "docs", format) == load_corpus(plain / "docs", format)
+    assert load_corpus(marked / "docs", format).docs[0].tokens == ("hello", "there")
+    if format != "plain":
+        assert (load_labeled_corpus(marked / "docs", format)
+                == load_labeled_corpus(plain / "docs", format))
+
+
+def test_stopword_file_bom_is_ignored(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_bytes(codecs.BOM_UTF8 + b"the\nof\n")
+    assert read_stopwords(path) == frozenset({"the", "of"})
+
+
+def test_bad_byte_after_bom_reports_its_line(tmp_path):
+    path = tmp_path / "docs.txt"
+    path.write_bytes(codecs.BOM_UTF8 + b"a\n\xff")
+    with pytest.raises(CorpusFormatError, match=r"docs\.txt:2: not valid UTF-8"):
+        load_corpus(path, "plain")
+
+
 corpus_bytes = st.lists(
     st.sampled_from([b"text", b"label", b",", b'"', b"\n", b"\r", b"{", b"}", b":", b"[",
                      b"1", b" ", b"\x00", b"\xe9"]) | st.binary(max_size=6),
@@ -221,6 +301,122 @@ def test_load_corpus_raises_only_corpus_format_error(tmp_path_factory, format, d
     except CorpusFormatError:
         return
     assert all(isinstance(doc, Document) for doc in corpus.docs)
+
+
+# The readers before fields_read, verbatim: the oracle for the field-tuple readers.
+def _read_records(path, format, config, with_labels):
+    if format not in FORMATS:
+        raise ValueError(f"unknown corpus format: {format!r} (expected one of {FORMATS})")
+    name = str(path)
+    text = read_utf8(path)
+    if format == "plain":
+        if with_labels:
+            raise CorpusFormatError("plain format carries no labels", name)
+        return [(line, "") for line in text.splitlines()]
+    if format == "jsonl":
+        return _jsonl_records(text, config, name, with_labels)
+    return _csv_records(text, config, name, with_labels)
+
+
+def _jsonl_records(text, config, name, with_labels):
+    records = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = parse_json(line)
+        except ValueError as exc:
+            raise CorpusFormatError(f"invalid JSON: {exc}", name, lineno) from exc
+        if not isinstance(obj, dict):
+            raise CorpusFormatError("record is not a JSON object", name, lineno)
+        if config.text_field not in obj:
+            raise CorpusFormatError(f"record lacks field {config.text_field!r}", name, lineno)
+        label = ""
+        if with_labels:
+            if config.label_field not in obj:
+                raise CorpusFormatError(f"record lacks field {config.label_field!r}", name, lineno)
+            label = str(obj[config.label_field])
+        records.append((str(obj[config.text_field]), label))
+    return records
+
+
+def _csv_records(text, config, name, with_labels):
+    if not text.strip():
+        return []
+    reader = csv.DictReader(io.StringIO(text))
+    records = []
+    try:
+        fields = reader.fieldnames or []
+        if config.text_field not in fields:
+            raise CorpusFormatError(f"missing column {config.text_field!r}", name, 1)
+        if with_labels and config.label_field not in fields:
+            raise CorpusFormatError(f"missing column {config.label_field!r}", name, 1)
+        for row in reader:
+            value = row.get(config.text_field)
+            if value is None:
+                raise CorpusFormatError("row is missing columns", name, reader.line_num)
+            label = ""
+            if with_labels:
+                raw = row.get(config.label_field)
+                if raw is None:
+                    raise CorpusFormatError("row is missing columns", name, reader.line_num)
+                label = str(raw)
+            records.append((value, label))
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        # DictReader.line_num moves only once a row parses; its inner reader's is current
+        raise CorpusFormatError(f"invalid CSV: {exc}", name, reader.reader.line_num) from exc
+    return records
+
+
+def _outcome(load):
+    """What a load returns, or the type and message of what it raises."""
+    try:
+        return load()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_load(path, format, config, labeled):
+    records = _read_records(path, format, config, with_labels=labeled)
+    docs = tuple(tokenize(text, config) for text, _ in records)
+    return docs, tuple(label for _, label in records) if labeled else ()
+
+
+ORACLE_CONFIGS = [
+    IngestConfig(),
+    IngestConfig(text_field="text", label_field="text"),
+    IngestConfig(text_field="label", label_field="label"),
+    IngestConfig(label_field="1"),
+    IngestConfig(text_field="label", label_field="text"),
+]
+
+
+@pytest.mark.parametrize("format", FORMATS)
+@given(data=corpus_bytes, config=st.sampled_from(ORACLE_CONFIGS))
+@example(data=b'{"text": "a b", "label": 1}\n\n{"label": "x", "text": 2}\n', config=IngestConfig())
+@example(data=b'{"text": "a", "label": "x"}\n{"text": "b"}\n', config=IngestConfig())
+@example(data=b'{"label": "x"}\n', config=IngestConfig())
+@example(data=b'{"body": "x"}\n', config=IngestConfig())
+@example(data=b"body\nx\n", config=IngestConfig())
+@example(data=b"text,label\na,x\nb,y\n", config=IngestConfig())
+@example(data=b"text,label\na,x\nb\n", config=IngestConfig())
+@example(data=b"text,1\na,x\n", config=IngestConfig(label_field="1"))
+@example(data=b"label\na\n", config=IngestConfig())
+@example(data=b"text\na\n", config=IngestConfig(text_field="text", label_field="text"))
+@example(data=b"\xef\xbb\xbftext,label\r\na,x\r\n", config=IngestConfig())
+def test_readers_match_the_with_labels_reference(tmp_path_factory, format, data, config):
+    path = tmp_path_factory.mktemp("corpus") / "docs"
+    path.write_bytes(data)
+    for labeled in (False, True):
+        expected = _outcome(lambda: _reference_load(path, format, config, labeled))
+        if labeled:
+            got = _outcome(lambda: load_labeled_corpus(path, format, config))
+        else:
+            got = _outcome(lambda: (load_corpus(path, format, config), ()))
+        if isinstance(got[0], Corpus):
+            assert got[0].source_id == "docs"
+            got = got[0].docs, got[1]
+        assert got == expected
 
 
 def test_read_stopwords(tmp_path):
