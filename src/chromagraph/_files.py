@@ -19,8 +19,9 @@ def canonical_json_bytes(payload) -> bytes:
 
     Callers build payloads in schema field order; for identical payloads
     the result is byte-identical, so artifacts are diff-able and hashable.
+    A NaN or infinite float raises ValueError: RFC 8259 JSON has neither.
     """
-    text = json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
+    text = json.dumps(payload, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
     return text.encode("utf-8") + b"\n"
 
 
@@ -74,11 +75,13 @@ def parse_json(text: str):
         raise ValueError("nesting too deep") from exc
 
 
-def check_version(payload: dict, expected: int, name: str, kind: str) -> None:
-    """Raise SchemaError unless ``payload["version"]`` is the integer ``expected``.
+def check_version(payload, expected: int, name: str, kind: str) -> None:
+    """Raise SchemaError unless ``payload`` is a JSON object of schema version ``expected``.
 
-    ``true`` and ``1.0`` equal 1 in Python, so the type is checked too.
+    ``true`` and ``1.0`` equal 1 in Python, so the version's type is checked too.
     """
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{name}: {kind} file must hold a JSON object")
     version = payload.get("version")
     if type(version) is not int or version != expected:
         raise SchemaError(f"{name}: unsupported {kind} schema version {version!r}")

@@ -121,8 +121,8 @@ def bow_train(corpus: Corpus, labels: Sequence[str], alpha: float = 1.0) -> BowC
     """Train on aligned (document, label) pairs; needs >= 2 classes."""
     if len(corpus.docs) != len(labels):
         raise ValueError(f"corpus/label length mismatch: {len(corpus.docs)} vs {len(labels)}")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:  # NaN fails too
+        raise ValueError("alpha must be positive and finite")
     classes = tuple(sorted(set(labels)))
     if len(classes) < 2:
         raise ValueError("need at least two classes")

@@ -36,8 +36,8 @@ from ._files import (SchemaError, atomic_write_bytes, canonical_json_bytes, pars
                      sha256_file, sha256_hex)
 from .baselines import (bow_predict, bow_train, cosine, evaluate_predictions, jaccard,
                         pearson, tfidf_centroid, tfidf_fit)
-from .coloring import (ColoringMismatchError, STRATEGIES, chromatic_similarity, color_graph,
-                       load_coloring, project_coloring, save_coloring, similarity_matrix,
+from .coloring import (ColoringMismatchError, STRATEGIES, _check_pair, color_graph, load_coloring,
+                       project_coloring, save_coloring, similarity_matrix,
                        tag_distribution_by_color)
 from .corpus import (Corpus, CorpusFormatError, FORMATS, IngestConfig, fields_read, load_corpus,
                      load_labeled_corpus, read_stopwords, read_utf8)
@@ -71,8 +71,11 @@ _EXIT_CODES = (
 def _read_config_file(path) -> dict:
     """The --config object: ``lowercase`` is a bool, every other key a string."""
     try:
-        payload = parse_json(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError is one too
+        payload = parse_json(read_utf8(path))
+    except CorpusFormatError as exc:  # a bad byte: exit 2 like any bad config, not 4
+        raise UsageError(f"{path}: config is not valid UTF-8 at line {exc.line}: "
+                         f"{exc.__cause__.reason}") from exc
+    except ValueError as exc:
         raise UsageError(f"{path}: config is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise UsageError(f"{path}: config must be a JSON object")
@@ -234,7 +237,7 @@ def _cmd_psi(args):
     for graph_path, coloring_path in args.pair:
         graph = load_graph(graph_path)
         coloring = load_coloring(coloring_path)
-        chromatic_similarity(graph, coloring, graph, coloring)  # validates the pair
+        _check_pair(graph, coloring)
         items.append((graph, coloring))
         ids.append(graph.source_id or Path(graph_path).name)
     matrix = similarity_matrix(items)
@@ -259,32 +262,28 @@ def _vectors_jsonl(docs, vectors) -> bytes:
     return b"\n".join(lines) + (b"\n" if lines else b"")
 
 
-def _cmd_embed(args):
-    config, read = _ingest_config(args)
-    coloring = load_coloring(args.coloring)
-    corpus = load_corpus(args.corpus, args.format, config)
-    vectors = project_coloring(coloring, corpus).vectors
-    atomic_write_bytes(args.output, _vectors_jsonl(corpus.docs, vectors))
-    return {
-        "format": args.format,
-        "ingest": _config_summary(config, args.format),
-        "documents": len(corpus.docs),
-    }, [args.coloring, args.corpus, *read], [args.output]
-
-
-def _cmd_project(args):
+def _project(args):
+    """Write the corpus's vectors; the manifest options, inputs, outputs and the coverage."""
     config, read = _ingest_config(args)
     coloring = load_coloring(args.coloring)
     corpus = load_corpus(args.corpus, args.format, config)
     result = project_coloring(coloring, corpus)
     atomic_write_bytes(args.output, _vectors_jsonl(corpus.docs, result.vectors))
-    print(f"coverage {result.coverage:.6f}")
     return {
         "format": args.format,
         "ingest": _config_summary(config, args.format),
         "documents": len(corpus.docs),
-        "coverage": result.coverage,
-    }, [args.coloring, args.corpus, *read], [args.output]
+    }, [args.coloring, args.corpus, *read], [args.output], result.coverage
+
+
+def _cmd_embed(args):
+    return _project(args)[:3]
+
+
+def _cmd_project(args):
+    options, inputs, outputs, coverage = _project(args)
+    print(f"coverage {coverage:.6f}")
+    return {**options, "coverage": coverage}, inputs, outputs
 
 
 # -- generate ---------------------------------------------------------------

@@ -236,20 +236,17 @@ def load_coloring(path) -> Coloring:
     """Load a coloring file, enforcing the label-range invariants."""
     name = str(path)
     payload = read_json(path)
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{name}: coloring file must hold a JSON object")
     check_version(payload, COLORING_SCHEMA_VERSION, name, "coloring")
     labels = payload.get("labels")
     num_colors = payload.get("num_colors")
     algorithm_id = payload.get("algorithm_id")
     graph_hash = payload.get("graph_hash")
     if not isinstance(labels, dict) or not all(
-            isinstance(t, str) and isinstance(c, int) and not isinstance(c, bool)
-            for t, c in labels.items()):
+            isinstance(t, str) and type(c) is int for t, c in labels.items()):
         raise SchemaError(f"{name}: 'labels' must map tokens to integer colors")
     if not isinstance(algorithm_id, str) or not isinstance(graph_hash, str):
         raise SchemaError(f"{name}: 'algorithm_id' and 'graph_hash' must be strings")
-    if not isinstance(num_colors, int) or isinstance(num_colors, bool):
+    if type(num_colors) is not int:
         raise SchemaError(f"{name}: 'num_colors' must be an integer")
     if labels:
         seen = set(labels.values())

@@ -217,10 +217,6 @@ def load_graph(path) -> BigramGraph:
     return graph_from_payload(read_json(path), str(path))
 
 
-def _is_index_triple(entry) -> bool:
-    return all(isinstance(x, int) and not isinstance(x, bool) for x in entry)
-
-
 def _strictly_ascending(items: list) -> bool:
     return all(map(lt, items, items[1:]))
 
@@ -238,8 +234,6 @@ def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
     valid payload loads too and is sorted and dumped when its hash is
     first read.
     """
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{name}: graph file must hold a JSON object")
     check_version(payload, GRAPH_SCHEMA_VERSION, name, "graph")
     nodes = payload.get("nodes")
     edges = payload.get("edges")
@@ -259,8 +253,7 @@ def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
         if not isinstance(entry, list) or len(entry) != 3:
             raise SchemaError(f"{name}: edge entry {entry!r} is not [src, dst, weight]")
         si, di, weight = entry
-        # exact ints are the common case; the full test admits int subclasses, not bool
-        if not (type(si) is type(di) is type(weight) is int) and not _is_index_triple(entry):
+        if not (type(si) is type(di) is type(weight) is int):  # JSON true/false parse as bool
             raise SchemaError(f"{name}: edge entry {entry!r} is not [src, dst, weight]")
         if not (0 <= si < count and 0 <= di < count):
             raise SchemaError(f"{name}: edge {entry!r} references an absent node")

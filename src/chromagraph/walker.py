@@ -23,26 +23,30 @@ hops. All costs are >= 1, so an earlier expansion's (cost, path) stays
 smaller under any common suffix and the search is exact. Equal-cost
 ties go to the lexicographically smallest token sequence.
 
-The pass stops one layer short of ``max_hops - 1``: only the source is
+The pass stops at an empty frontier, so hops the graph cannot use cost
+nothing, and one layer short of ``max_hops - 1``: only the source is
 expanded with that many hops left, so its successors are tested for an
 edge into the deepest layer built instead. A node with more successors
 than there are nodes within its remaining hops probes its edges into
-those nodes rather than scanning its successors. Both keep the pushed
-(cost, path) entries, and so the results and ``stats()``, unchanged.
+those nodes rather than scanning its successors. None of this changes
+the pushed (cost, path) entries, and so the results and ``stats()``.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain, pairwise
 
-from .coloring import Coloring, ColoringMismatchError
+from .coloring import Coloring, _check_pair
 from .graph import BigramGraph
 
 PROTOCOLS = ("max_weight", "min_weight", "max_density", "min_density")
+# Above this, random.betavariate's gamma draws overflow and never return.
+_BETA_MAX = sys.float_info.max / 2
 
 
 class WalkerError(ValueError):
@@ -65,8 +69,8 @@ class WalkerConfig:
             raise ValueError("sentence_len must be positive")
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol: {self.protocol!r} (expected one of {PROTOCOLS})")
-        if self.beta_alpha <= 0 or self.beta_beta <= 0:
-            raise ValueError("beta parameters must be positive")
+        if not (0 < self.beta_alpha <= _BETA_MAX and 0 < self.beta_beta <= _BETA_MAX):
+            raise ValueError("beta parameters must be positive and finite, at most float max / 2")
         if self.max_hops < 1 or self.max_retries < 1:
             raise ValueError("max_hops and max_retries must be positive")
 
@@ -210,14 +214,16 @@ class PathFinder:
         predecessors = self.graph.predecessors
         max_hops = self.max_hops
         far = max_hops + 1  # more hops than any search uses
-        # Reverse breadth-first layers 0..max_hops-2 from the target. togo[v]
-        # is v's fewest hops to it (absent: more than max_hops - 2), and
-        # near[:ends[d]] lists the nodes at most d hops from it.
+        # Reverse breadth-first layers 0..max_hops-2 from the target, to the
+        # first empty one. togo[v] is v's fewest hops to it (absent: none within
+        # max_hops - 2), and near[:ends[d]] lists the nodes at most d hops away.
         togo = {target: 0}
         near = [target]
         ends = [1]
         frontier = [target]
         for dist in range(1, max_hops - 1):
+            if not frontier:
+                break
             reached = []
             for v in frontier:
                 for u in predecessors(v):
@@ -244,6 +250,7 @@ class PathFinder:
         firsts.discard(source)
         heap = [(cost_of[(source, nxt)], (source, nxt)) for nxt in firsts]
         heapify(heap)
+        deepest = len(ends) - 1
         expanded: dict[str, int] = {source: 0}  # node -> fewest hops it was expanded with
         pushed, expansions = 1 + len(heap), 1
         found = None
@@ -260,7 +267,7 @@ class PathFinder:
             expansions += 1
             left = max_hops - hops - 1
             out = successors(node)
-            nearby = ends[left]
+            nearby = ends[left] if left <= deepest else ends[deepest]
             if len(out) > nearby:
                 # more successors than nodes within `left` hops of the target
                 # (at the last hop, just the target): probe edges into those
@@ -294,8 +301,7 @@ def generate(g: BigramGraph, coloring: Coloring, config: WalkerConfig, *,
     """
     if not g.nodes:
         raise WalkerError("cannot generate from an empty graph")
-    if coloring.graph_hash != g.content_hash():
-        raise ColoringMismatchError("coloring was computed on a different graph")
+    _check_pair(g, coloring)
     if finder is None:
         finder = PathFinder(g, config.protocol, config.max_hops)
     elif (finder.graph.content_hash() != g.content_hash()

@@ -206,6 +206,12 @@ def test_bow_needs_two_classes():
         bow_train(corpus_of("a", "b"), ("same", "same"))
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+def test_bow_rejects_alpha_that_is_not_positive_and_finite(alpha):
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        bow_train(corpus_of("a", "b"), ("x", "y"), alpha)
+
+
 def test_bow_label_length_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         bow_train(corpus_of("a"), ("x", "y"))

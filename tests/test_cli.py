@@ -111,6 +111,27 @@ def test_config_file_unknown_key_exit_2(tmp_path, pizza_file, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_config_with_bom_builds_like_its_bomless_copy(tmp_path):
+    src = tmp_path / "docs.jsonl"
+    src.write_text('{"body": "Keep CASE here"}\n', encoding="utf-8")
+    plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+    plain.write_bytes(b'{"text_field": "body", "lowercase": false}')
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for config in (plain, bom):
+        assert run("build", src, "--format", "jsonl", "--config", config,
+                   "-o", tmp_path / f"{config.stem}.g.json") == 0
+    assert (tmp_path / "bom.g.json").read_bytes() == (tmp_path / "plain.g.json").read_bytes()
+
+
+def test_non_utf8_config_exit_2_names_path_and_line_once(tmp_path, pizza_file, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{\r\n"text_field": "caf\xe9"}')
+    assert run("build", pizza_file, "--config", config, "-o", tmp_path / "g.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: config is not valid UTF-8 at line 2: ")
+    assert err.count(str(config)) == 1
+
+
 def test_build_cache_round_trip(tmp_path, pizza_file, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("CHROMAGRAPH_CACHE_DIR", str(cache))
@@ -585,6 +606,16 @@ def test_classify_bad_fraction_exit_2(tmp_path):
     src.write_text("text,label\na,x\nb,y\nc,x\nd,y\n", encoding="utf-8")
     assert run("classify", src, "--test-fraction", "1.5", "-o", tmp_path / "m.json",
                "--format", "csv") == 2
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_classify_non_finite_alpha_exit_2_writes_nothing(tmp_path, alpha, capsys):
+    src = tmp_path / "mail.csv"
+    src.write_text("text,label\na,x\nb,y\nc,x\nd,y\ne,x\nf,y\n", encoding="utf-8")
+    out = tmp_path / "m.json"
+    assert run("classify", src, "--format", "csv", "--alpha", alpha, "-o", out) == 2
+    assert "alpha must be positive and finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [src]
 
 
 def test_tagdist_command(tmp_path, pizza_file):

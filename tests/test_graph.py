@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import threading
+from enum import IntEnum
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from chromagraph import BigramGraph, Corpus, Document, SchemaError, build_graph, load_graph, \
     merge, save_graph
+from chromagraph._files import canonical_json_bytes
 from chromagraph.graph import graph_from_payload
 from chromagraph.kcore import core_decomposition, extract_kcore
 
@@ -361,6 +363,11 @@ def test_unserialisable_in_memory_payload_loads_and_hashes_lazily(source_id, wei
         g.content_hash()
 
 
+class Index(IntEnum):
+    A = 0
+    B = 1
+
+
 @pytest.mark.parametrize("edges, message", [
     (["x"], "edge entry 'x' is not [src, dst, weight]"),
     ([[0, 1]], "edge entry [0, 1] is not [src, dst, weight]"),
@@ -370,13 +377,22 @@ def test_unserialisable_in_memory_payload_loads_and_hashes_lazily(source_id, wei
     ([[0, 2, 1]], "edge [0, 2, 1] references an absent node"),
     ([[0, 1, 1], [0, 1, 2]], "duplicate edge ('a', 'b')"),
     ([[0, 1, 0]], "edge [0, 1, 0] has non-positive weight"),
+    # a JSON integer is an exact int; json.loads yields no other int type but bool
+    ([[Index.A, 1, 1]], "edge entry [<Index.A: 0>, 1, 1] is not [src, dst, weight]"),
+    ([[0, 1, Index.B]], "edge entry [0, 1, <Index.B: 1>] is not [src, dst, weight]"),
 ], ids=["non_list", "two_elements", "bool", "float", "negative_index", "index_out_of_range",
-        "duplicate", "zero_weight"])
+        "duplicate", "zero_weight", "int_subclass_index", "int_subclass_weight"])
 def test_malformed_edge_entry_messages(edges, message):
     payload = {"version": 1, "source_id": "", "nodes": ["a", "b"], "edges": edges}
     with pytest.raises(SchemaError) as info:
         graph_from_payload(payload, "g.json")
     assert str(info.value) == f"g.json: {message}"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_canonical_json_refuses_non_finite_floats(value):
+    with pytest.raises(ValueError):
+        canonical_json_bytes({"x": value})
 
 
 def test_trusted_builders_store_plain_dicts(pizza_graph):

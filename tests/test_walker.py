@@ -1,5 +1,8 @@
+import math
 import random
+import sys
 import time
+import tracemalloc
 from heapq import heappop, heappush
 from itertools import pairwise
 
@@ -139,6 +142,24 @@ def test_config_validation():
         WalkerConfig(sentence_len=1, beta_alpha=0.0)
 
 
+BETA_MAX = sys.float_info.max / 2  # betavariate still returns here, and hangs above it
+
+
+@pytest.mark.parametrize("field", ["beta_alpha", "beta_beta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, math.nextafter(BETA_MAX, math.inf)],
+                         ids=["nan", "inf", "above_max_half"])
+def test_config_rejects_beta_parameters_that_never_sample(field, value):
+    with pytest.raises(ValueError, match="beta parameters"):
+        WalkerConfig(sentence_len=2, **{field: value})
+
+
+def test_largest_beta_parameters_still_generate(pizza_graph):
+    coloring = color_graph(pizza_graph)
+    for alpha, beta in ((BETA_MAX, 5.0), (2.0, BETA_MAX), (BETA_MAX, BETA_MAX)):
+        config = WalkerConfig(sentence_len=4, beta_alpha=alpha, beta_beta=beta)
+        generate(pizza_graph, coloring, config).validate(pizza_graph)
+
+
 # -- path search ----------------------------------------------------------------
 
 def test_same_endpoint_single_token(pizza_graph):
@@ -230,6 +251,32 @@ def test_stats_count_a_hand_checked_query(pizza_graph):
     assert finder.find("i", "i") == ("i",)
     assert finder.stats() == {"finds": 4, "memo_hits": 1, "searches": 2,
                               "states_expanded": 6, "states_pushed": 8}
+
+
+def test_find_memory_does_not_grow_with_unused_hops(pizza_graph):
+    expected = find_path(pizza_graph, "i", "pizza", max_hops=12)  # builds the adjacency too
+    finder = PathFinder(pizza_graph, "min_weight", 10 ** 6)
+    tracemalloc.start()
+    try:
+        path = finder.find("i", "pizza")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path == expected
+    assert peak < 64 * 1024  # a reverse pass run to max_hops keeps ~8 MB of layer ends
+
+
+def test_hop_bound_past_every_simple_path_changes_nothing(pizza_graph):
+    nodes = sorted(pizza_graph.nodes)
+    for protocol in PROTOCOLS:
+        bounded = PathFinder(pizza_graph, protocol, len(nodes))
+        huge = PathFinder(pizza_graph, protocol, 10 ** 7)
+        for source in nodes:
+            for target in nodes:
+                assert huge.find(source, target) == bounded.find(source, target)
+        assert huge.stats() == bounded.stats()
+    assert find_path(pizza_graph, "i", "pizza", max_hops=10 ** 7) == \
+        find_path(pizza_graph, "i", "pizza", max_hops=12)
 
 
 def test_stats_finds_are_memo_hits_plus_searches(pizza_graph):
@@ -416,6 +463,15 @@ def test_generate_rejects_foreign_coloring(pizza_graph):
     other = BigramGraph({"a", "b"}, {("a", "b"): 1})
     with pytest.raises(ColoringMismatchError):
         generate(pizza_graph, color_graph(other), WalkerConfig(sentence_len=2))
+
+
+def test_foreign_coloring_error_names_both_hashes(pizza_graph):
+    foreign = color_graph(BigramGraph({"a", "b"}, {("a", "b"): 1}))
+    with pytest.raises(ColoringMismatchError) as info:
+        generate(pizza_graph, foreign, WalkerConfig(sentence_len=2))
+    message = str(info.value)
+    assert f"expected hash {foreign.graph_hash[:12]}..." in message
+    assert f"got {pizza_graph.content_hash()[:12]}..." in message
 
 
 def test_jumps_flagged_when_unreachable():
