@@ -2,10 +2,12 @@
 
 Coloring is greedy and deterministic: nodes are visited in a fixed
 strategy order and each gets the smallest color not used by any node
-in its ``BigramGraph.arcs``, so edge direction is ignored. Degree is
-the graph's own ``BigramGraph.degree``. Determinism is what makes
-labels comparable across graphs colored with the same strategy, which
-the similarity coefficient and cross-corpus projection rely on.
+in its ``BigramGraph.arcs``, so edge direction is ignored. The pass
+runs on the graph's integer index, whose arcs follow the same
+convention, and degree is the length of a node's arcs there, as in
+``BigramGraph.degree``. Determinism is what makes labels comparable
+across graphs colored with the same strategy, which the similarity
+coefficient and cross-corpus projection rely on.
 """
 
 from __future__ import annotations
@@ -118,30 +120,49 @@ def color_graph(g: BigramGraph, strategy: str = "degree_desc") -> Coloring:
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown coloring strategy: {strategy!r} (expected one of {STRATEGIES})")
-    # read first, so a loaded canonical file is hashed from its kept payload
-    # before the adjacency build releases it
+    # read first: a loaded canonical file is hashed from its own lists, and
+    # a fresh graph's hash sorts the lists the index is then built from
     graph_hash = g.content_hash()
+    tokens, arcs = g._indexed()
+    order = range(len(tokens))
     if strategy == "degree_desc":
-        order = sorted(g.nodes, key=lambda t: (-g.degree(t), t))
-    else:
-        order = sorted(g.nodes)
+        # a stable sort: equal degrees stay in index order, which is token order
+        order = sorted(order, key=list(map(len, arcs)).__getitem__, reverse=True)
+    colors = [-1] * len(tokens)  # -1: not colored yet, never a candidate
     labels: dict[str, int] = {}
-    for node in order:
-        used = {labels[u] for u in g.arcs(node) if u in labels}
+    for v in order:
+        used = {colors[u] for u in arcs[v]}
         color = 0
         while color in used:
             color += 1
-        labels[node] = color
-    num_colors = max(labels.values()) + 1 if labels else 0
+        colors[v] = color
+        labels[tokens[v]] = color
+    num_colors = max(colors) + 1 if colors else 0
     check_properness(g, labels)
     return Coloring(labels, num_colors, f"greedy-{strategy}-v1", graph_hash)
 
 
 def _check_pair(g: BigramGraph, coloring: Coloring) -> None:
+    """Raise ColoringMismatchError unless ``coloring`` belongs to ``g``.
+
+    It belongs when its graph hash is ``g``'s and its labels are on
+    exactly ``g``'s nodes. The hash fixes the node set, so the labels of
+    one coloring object are compared once and the pass is remembered.
+    """
     if coloring.graph_hash != g.content_hash():
         raise ColoringMismatchError(
             f"coloring was computed on a different graph "
             f"(expected hash {coloring.graph_hash[:12]}..., got {g.content_hash()[:12]}...)")
+    checked = vars(coloring)  # writable, as for the cached properties
+    if "_labels_match" not in checked:
+        labels = coloring.labels.keys()
+        if labels != g.nodes:
+            missing, extra = g.nodes - labels, labels - g.nodes
+            raise ColoringMismatchError(
+                f"coloring labels do not match the graph's nodes: {len(missing)} nodes "
+                f"unlabelled, {len(extra)} labelled tokens not in the graph"
+                + (f" (e.g. {min(extra)!r})" if extra else ""))
+        checked["_labels_match"] = True
 
 
 def chromatic_similarity(g1: BigramGraph, c1: Coloring,

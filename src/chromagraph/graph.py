@@ -12,13 +12,20 @@ then use the trusted construction ``BigramGraph._trusted``, which
 ``build_graph``, ``merge`` and ``extract_kcore`` call directly because
 their input cannot fail the checks.
 
-A graph does its derived work only when a caller first reads it. The
-sorted successor and predecessor tuples are built on the first
-adjacency query. The content hash is computed on the first
-``content_hash`` call; a canonical file is then hashed from its own
-payload rather than sorted and dumped again. That payload is released
-on the first hash or adjacency read, whichever comes first; a hash
-read after it is gone sorts and dumps the graph, to the same bytes.
+A graph does its derived work only when a caller first reads it, and
+every piece of it starts from one canonical form: the sorted tokens and
+the ascending ``(i, j, w)`` edge list of the graph file. The sorted
+successor and predecessor tuples are built on the first adjacency
+query. The content hash is computed on the first ``content_hash``
+call. The integer index that coloring and peeling run on is built on
+their first read, in two passes over the canonical edge list and with
+no sort of its own.
+
+The canonical lists come from a loaded canonical file itself, or else
+from one sort. A loaded file's lists are released on the first hash,
+adjacency or index read. Lists that the first hash sorted are kept for
+the index build, which releases them; a hash read after the lists are
+gone sorts the graph again, to the same bytes.
 """
 
 from __future__ import annotations
@@ -50,9 +57,11 @@ class BigramGraph:
     """
 
     # _succ and _pred are None until the first adjacency query (see
-    # _adjacency). _kept is a canonical file's own payload, held until
-    # the first content_hash or adjacency read.
-    __slots__ = ("nodes", "edges", "source_id", "_succ", "_pred", "_hash", "_kept")
+    # _adjacency), _index until the first _indexed call. _kept is a
+    # canonical (nodes, edges) pair: a loaded canonical file's own lists,
+    # held until the first content_hash, adjacency or index read, or the
+    # lists the first content_hash sorted, held until the index is built.
+    __slots__ = ("nodes", "edges", "source_id", "_succ", "_pred", "_index", "_hash", "_kept")
 
     def __init__(self, nodes=(), edges=None, source_id: str = ""):
         edges = dict(edges) if edges else {}
@@ -79,10 +88,10 @@ class BigramGraph:
         self.nodes = nodes
         self.edges = edges
         self.source_id = source_id
-        self._succ = self._pred = self._hash = self._kept = None
+        self._succ = self._pred = self._index = self._hash = self._kept = None
 
     def _adjacency(self) -> None:
-        """Drop any kept payload; build and publish the successor and predecessor tuples."""
+        """Drop any kept lists; build and publish the successor and predecessor tuples."""
         self._kept = None
         outs: defaultdict[str, list[str]] = defaultdict(list)
         ins: defaultdict[str, list[str]] = defaultdict(list)
@@ -95,6 +104,40 @@ class BigramGraph:
         # both maps complete; one that finds it unset builds its own
         self._pred = {v: tuple(ns) for v, ns in ins.items()}
         self._succ = {v: tuple(ns) for v, ns in outs.items()}
+
+    def _indexed(self) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+        """The integer index ``(tokens, arcs)``, built on the first call.
+
+        ``tokens`` is the sorted node tuple, so index order is token order
+        and every lexicographic tie-break reads the same on indices.
+        ``arcs[i]`` lists the ascending successor indices of ``tokens[i]``
+        and then its ascending predecessor indices: ``arcs`` on indices.
+        """
+        index = self._index
+        if index is None:
+            index = self._build_index()
+        return index
+
+    def _build_index(self) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+        """Drop any kept lists; build and publish the index from the canonical lists."""
+        nodes, edges = self._canonical()
+        self._kept = None
+        # one int object per index for every arc to share: a parsed file
+        # holds a separate int for each number in its edge entries
+        ids = list(range(len(nodes)))
+        arcs: list = [[] for _ in nodes]
+        # the edges ascend by (i, j): the first pass appends each node's
+        # successors in ascending order, the second its predecessors
+        for i, j, _ in edges:
+            arcs[i].append(ids[j])
+        for i, j, _ in edges:
+            arcs[j].append(ids[i])
+        for i, ns in enumerate(arcs):
+            arcs[i] = tuple(ns)  # each list is freed as its tuple is made
+        # one assignment publishes the whole index; a reader that finds it
+        # unset builds its own, to the same tuples
+        index = self._index = (tuple(nodes), tuple(arcs))
+        return index
 
     @property
     def node_count(self) -> int:
@@ -142,21 +185,31 @@ class BigramGraph:
         """Weight of edge (src, dst); 0 when the edge is absent."""
         return self.edges.get((src, dst), 0)
 
-    def canonical_bytes(self) -> bytes:
-        """Canonical on-disk bytes: sorted nodes, index-based edges sorted by index pair."""
+    def _canonical(self) -> tuple[list, list]:
+        """Sorted nodes and ascending ``(i, j, w)`` edges: the kept pair, else one sort."""
+        kept = self._kept
+        if kept is not None:
+            return kept
         nodes = sorted(self.nodes)
         index = {token: i for i, token in enumerate(nodes)}
         # tuples sort faster than lists, and json.dumps writes both as arrays
-        edges = sorted((index[s], index[d], w) for (s, d), w in self.edges.items())
-        return canonical_json_bytes(_payload(self.source_id, nodes, edges))
+        return nodes, sorted((index[s], index[d], w) for (s, d), w in self.edges.items())
+
+    def canonical_bytes(self) -> bytes:
+        """Canonical on-disk bytes: sorted nodes, index-based edges sorted by index pair."""
+        return canonical_json_bytes(_payload(self.source_id, *self._canonical()))
 
     def content_hash(self) -> str:
-        """SHA-256 of the canonical bytes, computed at most once per graph."""
+        """SHA-256 of the canonical bytes, computed at most once per graph.
+
+        A loaded file's kept lists are dropped here. Lists this call
+        sorts are kept for the index build, unless the index is built.
+        """
         if self._hash is None:
             kept = self._kept
-            self._hash = sha256_hex(self.canonical_bytes() if kept is None
-                                    else canonical_json_bytes(kept))
-            self._kept = None
+            canonical = self._canonical()
+            self._hash = sha256_hex(canonical_json_bytes(_payload(self.source_id, *canonical)))
+            self._kept = None if kept is not None or self._index is not None else canonical
         return self._hash
 
     def __eq__(self, other) -> bool:
@@ -228,8 +281,9 @@ def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
     order (nodes and edge entries strictly ascending), as every file
     ``save_graph`` writes is, is its own canonical form: the graph keeps
     its ``nodes`` and ``edges`` lists, and the first ``content_hash``
-    call dumps them instead of sorting the graph again. The first hash
-    or adjacency read drops them. The caller hands those lists over and
+    call dumps them, or the first index read numbers them, instead of
+    sorting the graph again. The first hash, adjacency or index read
+    drops them. The caller hands those lists over and
     no longer mutates them, as with ``BigramGraph._trusted``. Any other
     valid payload loads too and is sorted and dumped when its hash is
     first read.
@@ -265,5 +319,5 @@ def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
         edge_map[key] = weight
     graph = BigramGraph._trusted(node_set, edge_map, source_id)
     if _strictly_ascending(nodes) and _strictly_ascending(edges):
-        graph._kept = _payload(source_id, nodes, edges)
+        graph._kept = nodes, edges
     return graph

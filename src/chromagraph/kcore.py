@@ -1,10 +1,12 @@
 """K-core decomposition and vocabulary reduction.
 
-Degree is ``BigramGraph.degree``, the graph's one total-degree
-convention. The k-core is the maximal subgraph in which every node
-keeps degree >= k; the decomposition assigns each node the largest k
-whose core still contains it. Peeling the whole graph once gives every
-core number, so extraction for any k is a filter.
+Degree is the graph's one total-degree convention, ``BigramGraph.degree``.
+Peeling and the component count run on the graph's integer index,
+where a node's degree is the length of its arcs, the same count. The
+k-core is the maximal subgraph in which every node keeps degree >= k;
+the decomposition assigns each node the largest k whose core still
+contains it. Peeling the whole graph once gives every core number, so
+extraction for any k is a filter.
 """
 
 from __future__ import annotations
@@ -48,57 +50,54 @@ def core_decomposition(g: BigramGraph) -> CoreDecomposition:
 
     Nodes sit in buckets indexed by current degree; the scan removes
     the minimum-degree node and decrements its neighbors above the
-    current level, so the scan pointer only moves forward and the whole
-    pass is O(V + E). A node's core number is its degree at removal
-    time, which it then keeps; degrees only fall, so a node has at most
-    one entry per bucket, and the degree tests skip removed nodes.
-    Core numbers are order-independent; the lexicographic seeding only
-    makes the traversal deterministic.
+    current level, so the scan only moves forward and the whole pass is
+    O(V + E) (Batagelj & Zaveršnik, 2003). A node's core number is its
+    degree at removal time, which it then keeps; degrees only fall, so a
+    node has at most one entry per bucket, and the degree tests skip
+    removed nodes. Core numbers are order-independent; seeding the
+    buckets in token order only makes the traversal deterministic, and
+    ``core_number`` lists the nodes in removal order.
     """
-    degrees = {v: g.degree(v) for v in g.nodes}
-    if not degrees:
+    tokens, arcs = g._indexed()
+    if not tokens:
         return CoreDecomposition({}, 0)
-    max_degree = max(degrees.values())
-    buckets: list[list[str]] = [[] for _ in range(max_degree + 1)]
-    for v in sorted(degrees):
-        buckets[degrees[v]].append(v)
-    heads = [0] * (max_degree + 1)
-    core: dict[str, int] = {}
-    d = 0
-    while d <= max_degree:
-        bucket = buckets[d]
-        if heads[d] >= len(bucket):
-            d += 1
-            continue
-        v = bucket[heads[d]]
-        heads[d] += 1
-        if degrees[v] != d:
-            continue  # stale bucket entry
-        core[v] = d
-        for u in g.arcs(v):
-            if degrees[u] > d:
-                degrees[u] -= 1
-                buckets[degrees[u]].append(u)
-    return CoreDecomposition(core, max(core.values(), default=0))
+    degrees = list(map(len, arcs))
+    buckets: list[list[int]] = [[] for _ in range(max(degrees) + 1)]
+    for v, d in enumerate(degrees):
+        buckets[d].append(v)
+    removed: list[int] = []
+    for d, bucket in enumerate(buckets):
+        # a decrement appends to this bucket or a later one, never an
+        # earlier one, and iterating a list visits what is appended to it
+        for v in bucket:
+            if degrees[v] != d:
+                continue  # stale bucket entry
+            removed.append(v)
+            for u in arcs[v]:
+                if degrees[u] > d:
+                    degrees[u] -= 1
+                    buckets[degrees[u]].append(u)
+    # a removed node's degree is its core number from then on
+    return CoreDecomposition({tokens[v]: degrees[v] for v in removed}, max(degrees))
 
 
-def _weak_components(nodes: frozenset[str], g: BigramGraph) -> list[set[str]]:
-    seen: set[str] = set()
+def _weak_components(nodes: frozenset[str], g: BigramGraph) -> list[list[str]]:
+    """Weakly connected components of the subgraph ``nodes`` induces, each led
+    by its smallest token, in the order of those tokens."""
+    tokens, arcs = g._indexed()
+    unseen = [t in nodes for t in tokens]
     components = []
-    for start in sorted(nodes):
-        if start in seen:
+    for start, fresh in enumerate(unseen):
+        if not fresh:
             continue
-        stack = [start]
-        comp = {start}
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for u in g.arcs(v):
-                if u in nodes and u not in seen:
-                    seen.add(u)
-                    comp.add(u)
-                    stack.append(u)
-        components.append(comp)
+        unseen[start] = False
+        comp = [start]
+        for v in comp:
+            for u in arcs[v]:
+                if unseen[u]:
+                    unseen[u] = False
+                    comp.append(u)
+        components.append([tokens[v] for v in comp])
     return components
 
 
@@ -122,7 +121,7 @@ def extract_kcore(g: BigramGraph, k: int | None = None, *,
     retained = frozenset(v for v, c in decomp.core_number.items() if c >= k)
     components = _weak_components(retained, g)
     if largest_component_only and components:
-        keep = max(components, key=lambda comp: (len(comp), min(comp)))
+        keep = max(components, key=lambda comp: (len(comp), comp[0]))
         retained = frozenset(keep)
         n_components = 1
     else:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
@@ -73,6 +74,18 @@ def random_graph(rng: random.Random, max_nodes: int, *, edge_factor: float = 2.0
             continue
         edges[(u, v)] = rng.randint(1, 5)
     return BigramGraph(tokens, edges, source_id)
+
+
+def shuffled_payload(g: BigramGraph, rng: random.Random) -> dict:
+    """The payload of ``g`` with nodes and edge entries shuffled, indices remapped."""
+    payload = json.loads(g.canonical_bytes())
+    nodes = list(payload["nodes"])
+    rng.shuffle(nodes)
+    moved = {token: i for i, token in enumerate(nodes)}
+    old = payload["nodes"]
+    edges = [[moved[old[s]], moved[old[d]], w] for s, d, w in payload["edges"]]
+    rng.shuffle(edges)
+    return {**payload, "nodes": nodes, "edges": edges}
 
 
 def neighbor_sets(g: BigramGraph) -> dict[str, set[str]]:

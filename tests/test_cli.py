@@ -159,20 +159,28 @@ def test_build_cache_entry_written_at_level_6_is_a_hit(tmp_path, pizza_file, mon
 
 @pytest.fixture()
 def graph_work(monkeypatch):
-    """Live counts of adjacency builds and of graph dumps (for a hash or canonical bytes)."""
-    counts = {"adjacency": 0, "dump": 0}
+    """Live counts of adjacency builds (string adjacency or integer index), of
+    string adjacency builds alone, and of graph dumps (for a hash or canonical bytes)."""
+    counts = {"adjacency": 0, "strings": 0, "dump": 0}
     build_adjacency = BigramGraph._adjacency
+    build_index = BigramGraph._build_index
     dump = graph_module.canonical_json_bytes
 
-    def counting_build(self):
+    def counting_adjacency(self):
         counts["adjacency"] += 1
+        counts["strings"] += 1
         build_adjacency(self)
+
+    def counting_index(self):
+        counts["adjacency"] += 1
+        return build_index(self)
 
     def counting_dump(obj):
         counts["dump"] += 1
         return dump(obj)
 
-    monkeypatch.setattr(BigramGraph, "_adjacency", counting_build)
+    monkeypatch.setattr(BigramGraph, "_adjacency", counting_adjacency)
+    monkeypatch.setattr(BigramGraph, "_build_index", counting_index)
     monkeypatch.setattr(graph_module, "canonical_json_bytes", counting_dump)
     return counts
 
@@ -182,15 +190,18 @@ def test_commands_build_adjacency_and_hash_only_when_read(tmp_path, pizza_file, 
     monkeypatch.setenv("CHROMAGRAPH_CACHE_DIR", str(tmp_path / "cache"))
     g, c = tmp_path / "g.json", tmp_path / "c.json"
     steps = [
-        (["build", pizza_file, "-o", g], {"adjacency": 0, "dump": 1}),  # miss
-        (["build", pizza_file, "-o", tmp_path / "hit.json"], {"adjacency": 0, "dump": 1}),
-        (["color", g, "-o", c], {"adjacency": 1, "dump": 1}),
-        (["kcore", g, "--max", "-o", tmp_path / "core.json"], {"adjacency": 1, "dump": 0}),
+        (["build", pizza_file, "-o", g], {"adjacency": 0, "strings": 0, "dump": 1}),  # miss
+        (["build", pizza_file, "-o", tmp_path / "hit.json"],
+         {"adjacency": 0, "strings": 0, "dump": 1}),
+        # color and kcore run on the integer index alone
+        (["color", g, "-o", c], {"adjacency": 1, "strings": 0, "dump": 1}),
+        (["kcore", g, "--max", "-o", tmp_path / "core.json"],
+         {"adjacency": 1, "strings": 0, "dump": 0}),
         (["psi", "--pair", g, c, "--pair", g, c, "-o", tmp_path / "psi.csv"],
-         {"adjacency": 0, "dump": 2}),
+         {"adjacency": 0, "strings": 0, "dump": 2}),
     ]
     for argv, expected in steps:
-        graph_work.update(adjacency=0, dump=0)
+        graph_work.update(adjacency=0, strings=0, dump=0)
         assert run(*argv) == 0
         assert graph_work == expected, argv[0]
     assert _cache_outcome(tmp_path / "hit.json") == "hit"
@@ -482,6 +493,22 @@ def test_psi_mismatched_pair_exit_6(tmp_path, pizza_file):
     other_coloring = tmp_path / "oc.json"
     assert run("color", other_graph, "-o", other_coloring) == 0
     assert run("psi", "--pair", graph_path, other_coloring, "-o", tmp_path / "m.csv") == 6
+
+
+@pytest.mark.parametrize("command", ["psi", "generate"])
+def test_coloring_labels_off_the_graph_nodes_exit_6(tmp_path, pizza_file, capsys, command):
+    graph_path, coloring_path = color_pizza(tmp_path, pizza_file)
+    payload = json.loads(coloring_path.read_text())
+    payload["labels"]["zzz"] = payload["labels"].pop("pizza")  # same hash, one key renamed
+    renamed = tmp_path / "renamed.json"
+    renamed.write_text(json.dumps(payload))
+    argv = {"psi": ["psi", "--pair", graph_path, renamed],
+            "generate": ["generate", graph_path, renamed]}[command]
+    assert run(*argv, "-o", tmp_path / "out") == 6
+    err = capsys.readouterr().err
+    assert "coloring labels do not match the graph's nodes: 1 nodes unlabelled, " \
+        "1 labelled tokens not in the graph (e.g. 'zzz')" in err
+    assert "Traceback" not in err
 
 
 def test_embed_command(tmp_path, pizza_file):

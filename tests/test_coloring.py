@@ -9,6 +9,7 @@ from chromagraph import BigramGraph, ColoringMismatchError, Corpus, Document, \
     check_properness, chromatic_similarity, color_graph, embed_text, load_coloring, \
     project_coloring, save_coloring, similarity_matrix, tag_distribution_by_color
 from chromagraph import ImproperColoringError, SchemaError
+from chromagraph.coloring import Coloring
 
 from conftest import json_values, neighbor_sets, random_graph
 
@@ -211,6 +212,22 @@ def test_similarity_rejects_foreign_coloring(pizza_graph):
     with pytest.raises(ColoringMismatchError, match="different graph"):
         chromatic_similarity(pizza_graph, color_graph(other), pizza_graph,
                              color_graph(pizza_graph))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda labels: labels.__setitem__("zzz", labels.pop("pizza")),
+    lambda labels: labels.pop("pizza"),
+    lambda labels: labels.__setitem__("zzz", 0),
+], ids=["renamed", "missing", "extra"])
+def test_similarity_rejects_labels_off_the_graph_nodes(pizza_graph, edit):
+    good = color_graph(pizza_graph)
+    labels = dict(good.labels)
+    edit(labels)
+    bad = Coloring(labels, good.num_colors, good.algorithm_id, good.graph_hash)
+    assert chromatic_similarity(pizza_graph, good, pizza_graph, good).score == 1.0
+    for pair in ((good, bad), (bad, good)):
+        with pytest.raises(ColoringMismatchError, match="labels do not match the graph's nodes"):
+            chromatic_similarity(pizza_graph, pair[0], pizza_graph, pair[1])
 
 
 def test_similarity_rejects_mismatched_algorithms(pizza_graph):

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chromagraph import BigramGraph, Corpus, Document, SchemaError, build_graph, load_graph, \
-    merge, save_graph
+from chromagraph import BigramGraph, Corpus, Document, SchemaError, build_graph, color_graph, \
+    load_graph, merge, save_graph
+from chromagraph import graph as graph_module
 from chromagraph._files import canonical_json_bytes
+from chromagraph.coloring import STRATEGIES
 from chromagraph.graph import graph_from_payload
 from chromagraph.kcore import core_decomposition, extract_kcore
 
-from conftest import DATA_DIR, json_values, make_pizza_corpus, random_graph
+from conftest import json_values, make_pizza_corpus, random_graph, shuffled_payload
 
 
 documents = st.lists(
@@ -188,18 +190,6 @@ def test_graph_from_payload_raises_only_schema_error(payload):
     assert graph.content_hash() == expected
 
 
-def shuffled_payload(g: BigramGraph, rng: random.Random) -> dict:
-    """The payload of ``g`` with nodes and edge entries shuffled, indices remapped."""
-    payload = json.loads(g.canonical_bytes())
-    nodes = list(payload["nodes"])
-    rng.shuffle(nodes)
-    moved = {token: i for i, token in enumerate(nodes)}
-    old = payload["nodes"]
-    edges = [[moved[old[s]], moved[old[d]], w] for s, d, w in payload["edges"]]
-    rng.shuffle(edges)
-    return {**payload, "nodes": nodes, "edges": edges}
-
-
 def corpus_of(g: BigramGraph) -> Corpus:
     """A corpus whose graph is ``g``: one two-token document per unit of edge weight,
     then each node alone."""
@@ -294,30 +284,75 @@ def test_adjacency_read_releases_the_kept_payload(sms_graph, tmp_path):
     assert loaded.content_hash() == SMS_GRAPH_HASH
 
 
+def test_hash_releases_a_loaded_files_lists(sms_graph, tmp_path):
+    path = tmp_path / "sms.json"
+    save_graph(sms_graph, path)
+    loaded = load_graph(path)
+    assert loaded._kept is not None
+    assert loaded.content_hash() == SMS_GRAPH_HASH
+    assert loaded._kept is None
+
+
+def test_hash_then_color_sorts_a_fresh_graph_once(sms_graph, monkeypatch):
+    fresh = BigramGraph(sms_graph.nodes, sms_graph.edges, sms_graph.source_id)
+    want, want_cores = color_graph(fresh), core_decomposition(fresh)
+    sorts = []
+
+    def counting_sorted(items, **kwargs):
+        result = sorted(items, **kwargs)
+        sorts.append(len(result))
+        return result
+
+    monkeypatch.setattr(graph_module, "sorted", counting_sorted, raising=False)
+    g = BigramGraph(sms_graph.nodes, sms_graph.edges, sms_graph.source_id)
+    assert g.content_hash() == SMS_GRAPH_HASH
+    assert g._kept is not None  # the sorted lists wait for the index build
+    assert color_graph(g) == want
+    assert sorts == [g.node_count, g.edge_count]
+    assert g._kept is None
+    assert core_decomposition(g) == want_cores
+    assert sorts == [g.node_count, g.edge_count]
+
+
+def first_reads(g: BigramGraph, order: int) -> tuple:
+    """The hash, adjacency reads, both colorings and the core numbers of ``g``,
+    read in one of four orders, returned in one form that keeps dict order."""
+    reads = [g.content_hash, lambda: observe(g, hash_first=False)[1],
+             lambda: [list(color_graph(g, s).labels.items()) for s in STRATEGIES],
+             lambda: list(core_decomposition(g).core_number.items())]
+    results = [None] * len(reads)
+    for i in range(order, order + len(reads)):
+        results[i % len(reads)] = reads[i % len(reads)]()
+    return tuple(results)
+
+
 def test_concurrent_first_reads_see_the_serial_adjacency(sms_graph, tmp_path):
     path = tmp_path / "sms.json"
     save_graph(sms_graph, path)
-    serial = observe(load_graph(path), hash_first=False)
-    fresh = load_graph(path)
-    results = [None] * 4
-    start = threading.Barrier(len(results))
+    serial = first_reads(load_graph(path), 0)
+    makers = (lambda: load_graph(path),
+              lambda: BigramGraph(sms_graph.nodes, sms_graph.edges, sms_graph.source_id))
+    for make in makers:
+        fresh = make()
+        results = [None] * 4
+        start = threading.Barrier(len(results))
 
-    def read(i):
-        start.wait(timeout=30)
-        results[i] = observe(fresh, hash_first=i % 2 == 0)
+        def read(i):
+            start.wait(timeout=30)
+            results[i] = first_reads(fresh, i)
 
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=read, args=(i,)) for i in range(len(results))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(switch)
-    assert not any(t.is_alive() for t in threads)
-    assert all(result == serial for result in results)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(len(results))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert all(result == serial for result in results)
 
 
 def test_adjacency_is_published_predecessors_first(pizza_graph):
