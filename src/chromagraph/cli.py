@@ -36,9 +36,9 @@ from ._files import (SchemaError, atomic_write_bytes, canonical_json_bytes, pars
                      sha256_file, sha256_hex)
 from .baselines import (bow_predict, bow_train, cosine, evaluate_predictions, jaccard,
                         pearson, tfidf_centroid, tfidf_fit)
-from .coloring import (ColoringMismatchError, STRATEGIES, _check_pair, color_graph, load_coloring,
-                       project_coloring, save_coloring, similarity_matrix,
-                       tag_distribution_by_color)
+from .coloring import (ColoringMismatchError, STRATEGIES, _agreement_matrix, _check_pair,
+                       color_graph, load_coloring, project_coloring, save_coloring,
+                       similarity_matrix, tag_distribution_by_color)
 from .corpus import (Corpus, CorpusFormatError, FORMATS, IngestConfig, fields_read, load_corpus,
                      load_labeled_corpus, read_stopwords, read_utf8)
 from .graph import BigramGraph, build_graph, graph_from_payload, load_graph
@@ -232,15 +232,16 @@ def _cmd_kcore(args):
 def _cmd_psi(args):
     if not args.pair:
         raise UsageError("pass at least one --pair GRAPH COLORING")
-    items = []
+    colorings = []
     ids = []
     for graph_path, coloring_path in args.pair:
         graph = load_graph(graph_path)
         coloring = load_coloring(coloring_path)
         _check_pair(graph, coloring)
-        items.append((graph, coloring))
+        # a checked coloring's labels are its graph's nodes: no graph is held
+        colorings.append(coloring)
         ids.append(graph.source_id or Path(graph_path).name)
-    matrix = similarity_matrix(items)
+    matrix = _agreement_matrix(colorings)
     import csv
     import io
     buf = io.StringIO()
@@ -249,7 +250,7 @@ def _cmd_psi(args):
     for name, row in zip(ids, matrix):
         writer.writerow([name] + [repr(v) for v in row])
     atomic_write_bytes(args.output, buf.getvalue().encode("utf-8"))
-    return {"pairs": len(items)}, [p for pair in args.pair for p in pair], [args.output]
+    return {"pairs": len(colorings)}, [p for pair in args.pair for p in pair], [args.output]
 
 
 # -- embed / project --------------------------------------------------------

@@ -98,15 +98,22 @@ def check_properness(g: BigramGraph, labels: Mapping[str, int]) -> None:
 
     Self-loops are exempt (a node trivially shares its own color).
     Raises ImproperColoringError on any uncolored node or any edge
-    joining two equal-colored distinct nodes.
+    joining two equal-colored distinct nodes. The pass runs on the
+    integer index, where each edge is an arc of both its ends.
     """
     missing = [v for v in g.nodes if v not in labels]
     if missing:
         raise ImproperColoringError(f"{len(missing)} nodes have no color, e.g. {missing[0]!r}")
-    for src, dst in g.edges:
-        if src != dst and labels[src] == labels[dst]:
-            raise ImproperColoringError(
-                f"edge ({src!r}, {dst!r}) joins two nodes of color {labels[src]}")
+    tokens, arcs = g._indexed()
+    colors = [labels[t] for t in tokens]
+    for v, ns in enumerate(arcs):
+        color = colors[v]
+        for u in ns:
+            if colors[u] == color and u != v:
+                a, b = tokens[v], tokens[u]
+                src, dst = (a, b) if g.has_edge(a, b) else (b, a)
+                raise ImproperColoringError(
+                    f"edge ({src!r}, {dst!r}) joins two nodes of color {color}")
 
 
 def color_graph(g: BigramGraph, strategy: str = "degree_desc") -> Coloring:
@@ -120,8 +127,7 @@ def color_graph(g: BigramGraph, strategy: str = "degree_desc") -> Coloring:
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown coloring strategy: {strategy!r} (expected one of {STRATEGIES})")
-    # read first: a loaded canonical file is hashed from its own lists, and
-    # a fresh graph's hash sorts the lists the index is then built from
+    # read first: a fresh graph's hash sorts the lists the index is then built from
     graph_hash = g.content_hash()
     tokens, arcs = g._indexed()
     order = range(len(tokens))
@@ -175,10 +181,16 @@ def chromatic_similarity(g1: BigramGraph, c1: Coloring,
     """
     _check_pair(g1, c1)
     _check_pair(g2, c2)
+    return _agreement(c1, c2)
+
+
+def _agreement(c1: Coloring, c2: Coloring) -> SimilarityResult:
+    """``chromatic_similarity`` of two colorings that passed ``_check_pair``:
+    each one's labels are on exactly its graph's nodes, so no graph is read."""
     if c1.algorithm_id != c2.algorithm_id:
         raise ColoringMismatchError(
             f"colorings are not comparable: {c1.algorithm_id!r} vs {c2.algorithm_id!r}")
-    common = g1.nodes & g2.nodes
+    common = c1.labels.keys() & c2.labels.keys()
     shared = len(common)
     if shared == 0:
         return SimilarityResult(0, 0, 0.0)
@@ -189,13 +201,18 @@ def chromatic_similarity(g1: BigramGraph, c1: Coloring,
 def similarity_matrix(items: Sequence[tuple[BigramGraph, Coloring]]) -> list[list[float]]:
     """Pairwise similarity scores; symmetric with unit diagonal for
     non-empty graphs (an empty graph shares nothing, even with itself)."""
-    n = len(items)
+    for g, c in items:
+        _check_pair(g, c)
+    return _agreement_matrix([c for _, c in items])
+
+
+def _agreement_matrix(colorings: Sequence[Coloring]) -> list[list[float]]:
+    """``similarity_matrix`` of colorings that passed ``_check_pair``."""
+    n = len(colorings)
     matrix = [[0.0] * n for _ in range(n)]
     for i in range(n):
-        gi, ci = items[i]
         for j in range(i, n):
-            gj, cj = items[j]
-            score = chromatic_similarity(gi, ci, gj, cj).score
+            score = _agreement(colorings[i], colorings[j]).score
             matrix[i][j] = score
             matrix[j][i] = score
     return matrix

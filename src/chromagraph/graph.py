@@ -12,20 +12,24 @@ then use the trusted construction ``BigramGraph._trusted``, which
 ``build_graph``, ``merge`` and ``extract_kcore`` call directly because
 their input cannot fail the checks.
 
-A graph does its derived work only when a caller first reads it, and
-every piece of it starts from one canonical form: the sorted tokens and
-the ascending ``(i, j, w)`` edge list of the graph file. The sorted
-successor and predecessor tuples are built on the first adjacency
-query. The content hash is computed on the first ``content_hash``
-call. The integer index that coloring and peeling run on is built on
-their first read, in two passes over the canonical edge list and with
-no sort of its own.
+A graph does its derived work only when a caller first reads it. The
+sorted successor and predecessor tuples are built on the first adjacency
+query, the content hash on the first ``content_hash`` call, and the
+integer index that coloring and peeling use on their first read.
 
-The canonical lists come from a loaded canonical file itself, or else
-from one sort. A loaded file's lists are released on the first hash,
-adjacency or index read. Lists that the first hash sorted are kept for
-the index build, which releases them; a hash read after the lists are
-gone sorts the graph again, to the same bytes.
+The edges exist in one or both of two forms: the string map ``edges``,
+``(src, dst) -> weight``, and the canonical lists, the sorted tokens and
+the ascending ``(i, j, w)`` entries of the graph file. A loaded
+canonical file starts with its own lists alone, any other graph with
+the map alone, and each form is built from the other when it is first
+needed: the map on the first read of ``edges``, the lists by the first
+hash, which sorts once and keeps them for the index. The hash, the
+index and ``edge_count`` read whichever form exists. The one release
+rule: the lists go when the map exists and the index is built, and on
+every adjacency build, which reads the map; never while the map does
+not exist. So a loaded file is hashed and indexed from its own lists,
+and a hash read after the lists are gone sorts the graph again, to the
+same bytes.
 """
 
 from __future__ import annotations
@@ -56,12 +60,13 @@ class BigramGraph:
     The constructor checks these invariants and raises SchemaError.
     """
 
-    # _succ and _pred are None until the first adjacency query (see
-    # _adjacency), _index until the first _indexed call. _kept is a
-    # canonical (nodes, edges) pair: a loaded canonical file's own lists,
-    # held until the first content_hash, adjacency or index read, or the
-    # lists the first content_hash sorted, held until the index is built.
-    __slots__ = ("nodes", "edges", "source_id", "_succ", "_pred", "_index", "_hash", "_kept")
+    # _edges is the string edge map and _kept the canonical (nodes, edges)
+    # lists; at least one of them is set (see the module docstring for
+    # when each is built and released). _kept is released only after
+    # _edges is published, so a reader that reads _kept before _edges
+    # finds one of them set. _succ and _pred are None until the first
+    # adjacency query (see _adjacency), _index until the first _indexed call.
+    __slots__ = ("nodes", "source_id", "_edges", "_kept", "_succ", "_pred", "_index", "_hash")
 
     def __init__(self, nodes=(), edges=None, source_id: str = ""):
         edges = dict(edges) if edges else {}
@@ -74,25 +79,52 @@ class BigramGraph:
         self._setup(nodes, edges, source_id)
 
     @classmethod
-    def _trusted(cls, nodes: frozenset, edges: dict, source_id: str) -> BigramGraph:
+    def _trusted(cls, nodes: frozenset, edges: dict | None, source_id: str,
+                 kept: tuple[list, list] | None = None) -> BigramGraph:
         """The graph over ``nodes`` and ``edges`` as given: no checks, no copies.
 
         The caller guarantees the class invariants and hands over a
-        frozenset and a plain dict it no longer mutates.
+        frozenset and a plain dict it no longer mutates, or None for
+        ``edges`` and the canonical ``(nodes, edges)`` lists as ``kept``.
         """
         graph = cls.__new__(cls)
-        graph._setup(nodes, edges, source_id)
+        graph._setup(nodes, edges, source_id, kept)
         return graph
 
-    def _setup(self, nodes, edges, source_id) -> None:
+    def _setup(self, nodes, edges, source_id, kept=None) -> None:
         self.nodes = nodes
-        self.edges = edges
         self.source_id = source_id
-        self._succ = self._pred = self._index = self._hash = self._kept = None
+        self._edges = edges
+        self._kept = kept
+        self._succ = self._pred = self._index = self._hash = None
+
+    @property
+    def edges(self) -> dict[tuple[str, str], int]:
+        """The edge map ``(src, dst) -> weight``; a loaded file's is built on first read."""
+        kept = self._kept  # read first: the lists go only after the map is published
+        edges = self._edges
+        return self._edge_map(kept) if edges is None else edges
+
+    def _edge_map(self, kept: tuple[list, list]) -> dict[tuple[str, str], int]:
+        """Build and publish the map from the kept lists; release them if the index exists."""
+        tokens, entries = kept
+        edges = self._edges = {(tokens[i], tokens[j]): w for i, j, w in entries}
+        if self._index is not None:
+            self._kept = None
+        return edges
+
+    def _edges_within(self, nodes: frozenset) -> dict[tuple[str, str], int]:
+        """The edges with both ends in ``nodes``, read from whichever form exists."""
+        kept = self._kept
+        edges = self._edges
+        if edges is not None:
+            return {(s, d): w for (s, d), w in edges.items() if s in nodes and d in nodes}
+        tokens, entries = kept
+        inside = [t in nodes for t in tokens]
+        return {(tokens[i], tokens[j]): w for i, j, w in entries if inside[i] and inside[j]}
 
     def _adjacency(self) -> None:
-        """Drop any kept lists; build and publish the successor and predecessor tuples."""
-        self._kept = None
+        """Build and publish the successor and predecessor tuples; release any kept lists."""
         outs: defaultdict[str, list[str]] = defaultdict(list)
         ins: defaultdict[str, list[str]] = defaultdict(list)
         for src, dst in self.edges:
@@ -104,6 +136,7 @@ class BigramGraph:
         # both maps complete; one that finds it unset builds its own
         self._pred = {v: tuple(ns) for v, ns in ins.items()}
         self._succ = {v: tuple(ns) for v, ns in outs.items()}
+        self._kept = None  # the loop above read the map, so it exists
 
     def _indexed(self) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
         """The integer index ``(tokens, arcs)``, built on the first call.
@@ -119,9 +152,8 @@ class BigramGraph:
         return index
 
     def _build_index(self) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
-        """Drop any kept lists; build and publish the index from the canonical lists."""
+        """Build and publish the index from the canonical lists; release them if the map exists."""
         nodes, edges = self._canonical()
-        self._kept = None
         # one int object per index for every arc to share: a parsed file
         # holds a separate int for each number in its edge entries
         ids = list(range(len(nodes)))
@@ -137,6 +169,8 @@ class BigramGraph:
         # one assignment publishes the whole index; a reader that finds it
         # unset builds its own, to the same tuples
         index = self._index = (tuple(nodes), tuple(arcs))
+        if self._edges is not None:
+            self._kept = None
         return index
 
     @property
@@ -145,7 +179,8 @@ class BigramGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        kept = self._kept
+        return len(self._edges) if kept is None else len(kept[1])
 
     def bigram_total(self) -> int:
         """Total number of bi-gram occurrences (sum of edge weights)."""
@@ -193,7 +228,7 @@ class BigramGraph:
         nodes = sorted(self.nodes)
         index = {token: i for i, token in enumerate(nodes)}
         # tuples sort faster than lists, and json.dumps writes both as arrays
-        return nodes, sorted((index[s], index[d], w) for (s, d), w in self.edges.items())
+        return nodes, sorted((index[s], index[d], w) for (s, d), w in self._edges.items())
 
     def canonical_bytes(self) -> bytes:
         """Canonical on-disk bytes: sorted nodes, index-based edges sorted by index pair."""
@@ -202,14 +237,14 @@ class BigramGraph:
     def content_hash(self) -> str:
         """SHA-256 of the canonical bytes, computed at most once per graph.
 
-        A loaded file's kept lists are dropped here. Lists this call
-        sorts are kept for the index build, unless the index is built.
+        Lists this call sorts are kept for the index build, unless the
+        index is built already.
         """
         if self._hash is None:
-            kept = self._kept
             canonical = self._canonical()
             self._hash = sha256_hex(canonical_json_bytes(_payload(self.source_id, *canonical)))
-            self._kept = None if kept is not None or self._index is not None else canonical
+            if self._index is None:
+                self._kept = canonical
         return self._hash
 
     def __eq__(self, other) -> bool:
@@ -270,23 +305,35 @@ def load_graph(path) -> BigramGraph:
     return graph_from_payload(read_json(path), str(path))
 
 
-def _strictly_ascending(items: list) -> bool:
-    return all(map(lt, items, items[1:]))
+def _canonical_entries(edges: list, count: int) -> bool:
+    """Whether every entry is a valid ``[i, j, w]`` and the ``(i, j)`` pairs strictly ascend.
+
+    Strict ascent rules out duplicate edges. The loop allocates nothing.
+    """
+    last_i = last_j = -1
+    for entry in edges:
+        if type(entry) is not list or len(entry) != 3:
+            return False
+        i, j, w = entry
+        if not (type(i) is type(j) is type(w) is int and 0 <= i < count and 0 <= j < count
+                and w > 0 and (i > last_i or i == last_i and j > last_j)):
+            return False
+        last_i, last_j = i, j
+    return True
 
 
 def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
     """Validate a parsed graph payload and construct the graph.
 
-    Each edge entry is checked once. A payload already in canonical
-    order (nodes and edge entries strictly ascending), as every file
-    ``save_graph`` writes is, is its own canonical form: the graph keeps
-    its ``nodes`` and ``edges`` lists, and the first ``content_hash``
-    call dumps them, or the first index read numbers them, instead of
-    sorting the graph again. The first hash, adjacency or index read
-    drops them. The caller hands those lists over and
-    no longer mutates them, as with ``BigramGraph._trusted``. Any other
-    valid payload loads too and is sorted and dumped when its hash is
-    first read.
+    A payload in canonical order (nodes strictly ascending, edge entries
+    strictly ascending by ``(src, dst)``), as every file ``save_graph``
+    writes is, is checked in one pass that builds nothing, and the graph
+    keeps its ``nodes`` and ``edges`` lists as its edges: its hash and
+    index read them, and the string map is built on the first read of
+    ``edges``. The caller hands those lists over and no longer mutates
+    them, as with ``BigramGraph._trusted``. Any other payload, valid or
+    not, is checked entry by entry as it builds the string map, so each
+    error is the first one that pass meets.
     """
     check_version(payload, GRAPH_SCHEMA_VERSION, name, "graph")
     nodes = payload.get("nodes")
@@ -302,6 +349,8 @@ def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
     if not isinstance(source_id, str):
         raise SchemaError(f"{name}: 'source_id' must be a string")
     count = len(nodes)
+    if all(map(lt, nodes, nodes[1:])) and _canonical_entries(edges, count):
+        return BigramGraph._trusted(node_set, None, source_id, (nodes, edges))
     edge_map: dict[tuple[str, str], int] = {}
     for entry in edges:
         if not isinstance(entry, list) or len(entry) != 3:
@@ -317,7 +366,4 @@ def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
         if weight < 1:
             raise SchemaError(f"{name}: edge {entry!r} has non-positive weight")
         edge_map[key] = weight
-    graph = BigramGraph._trusted(node_set, edge_map, source_id)
-    if _strictly_ascending(nodes) and _strictly_ascending(edges):
-        graph._kept = nodes, edges
-    return graph
+    return BigramGraph._trusted(node_set, edge_map, source_id)

@@ -126,9 +126,8 @@ def extract_kcore(g: BigramGraph, k: int | None = None, *,
         n_components = 1
     else:
         n_components = len(components)
-    edges = {(s, d): w for (s, d), w in g.edges.items() if s in retained and d in retained}
-    return KCoreSubgraph(k, BigramGraph._trusted(retained, edges, g.source_id), retained,
-                         frozenset(g.nodes - retained), n_components)
+    core = BigramGraph._trusted(retained, g._edges_within(retained), g.source_id)
+    return KCoreSubgraph(k, core, retained, frozenset(g.nodes - retained), n_components)
 
 
 def reduce_corpus(corpus: Corpus, core: KCoreSubgraph) -> Corpus:

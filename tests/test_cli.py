@@ -9,14 +9,16 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import chromagraph
-from chromagraph import BigramGraph, IngestConfig
+from chromagraph import BigramGraph, IngestConfig, color_graph, save_coloring, save_graph
 from chromagraph import graph as graph_module
-from chromagraph._files import parse_json
+from chromagraph._files import canonical_json_bytes, parse_json
+from chromagraph.coloring import coloring_payload
 from chromagraph.cli import _cache_key, build_parser, main
 
 from conftest import PIZZA_LINES
@@ -160,10 +162,12 @@ def test_build_cache_entry_written_at_level_6_is_a_hit(tmp_path, pizza_file, mon
 @pytest.fixture()
 def graph_work(monkeypatch):
     """Live counts of adjacency builds (string adjacency or integer index), of
-    string adjacency builds alone, and of graph dumps (for a hash or canonical bytes)."""
-    counts = {"adjacency": 0, "strings": 0, "dump": 0}
+    string adjacency builds alone, of string edge maps built from a loaded file's
+    lists, and of graph dumps (for a hash or canonical bytes)."""
+    counts = {"adjacency": 0, "strings": 0, "maps": 0, "dump": 0}
     build_adjacency = BigramGraph._adjacency
     build_index = BigramGraph._build_index
+    build_map = BigramGraph._edge_map
     dump = graph_module.canonical_json_bytes
 
     def counting_adjacency(self):
@@ -175,12 +179,17 @@ def graph_work(monkeypatch):
         counts["adjacency"] += 1
         return build_index(self)
 
+    def counting_map(self, kept):
+        counts["maps"] += 1
+        return build_map(self, kept)
+
     def counting_dump(obj):
         counts["dump"] += 1
         return dump(obj)
 
     monkeypatch.setattr(BigramGraph, "_adjacency", counting_adjacency)
     monkeypatch.setattr(BigramGraph, "_build_index", counting_index)
+    monkeypatch.setattr(BigramGraph, "_edge_map", counting_map)
     monkeypatch.setattr(graph_module, "canonical_json_bytes", counting_dump)
     return counts
 
@@ -189,22 +198,68 @@ def test_commands_build_adjacency_and_hash_only_when_read(tmp_path, pizza_file, 
                                                           graph_work):
     monkeypatch.setenv("CHROMAGRAPH_CACHE_DIR", str(tmp_path / "cache"))
     g, c = tmp_path / "g.json", tmp_path / "c.json"
+    # no command builds a loaded file's string edge map: each reads the file's lists
     steps = [
-        (["build", pizza_file, "-o", g], {"adjacency": 0, "strings": 0, "dump": 1}),  # miss
+        (["build", pizza_file, "-o", g], {"adjacency": 0, "strings": 0, "maps": 0, "dump": 1}),
         (["build", pizza_file, "-o", tmp_path / "hit.json"],
-         {"adjacency": 0, "strings": 0, "dump": 1}),
+         {"adjacency": 0, "strings": 0, "maps": 0, "dump": 1}),
         # color and kcore run on the integer index alone
-        (["color", g, "-o", c], {"adjacency": 1, "strings": 0, "dump": 1}),
+        (["color", g, "-o", c], {"adjacency": 1, "strings": 0, "maps": 0, "dump": 1}),
         (["kcore", g, "--max", "-o", tmp_path / "core.json"],
-         {"adjacency": 1, "strings": 0, "dump": 0}),
+         {"adjacency": 1, "strings": 0, "maps": 0, "dump": 0}),
         (["psi", "--pair", g, c, "--pair", g, c, "-o", tmp_path / "psi.csv"],
-         {"adjacency": 0, "strings": 0, "dump": 2}),
+         {"adjacency": 0, "strings": 0, "maps": 0, "dump": 2}),
     ]
     for argv, expected in steps:
-        graph_work.update(adjacency=0, strings=0, dump=0)
+        graph_work.update(adjacency=0, strings=0, maps=0, dump=0)
         assert run(*argv) == 0
         assert graph_work == expected, argv[0]
     assert _cache_outcome(tmp_path / "hit.json") == "hit"
+
+
+def test_color_on_a_canonical_file_sorts_nothing(sms_graph, tmp_path, monkeypatch):
+    path, out = tmp_path / "sms.json", tmp_path / "coloring.json"
+    save_graph(sms_graph, path)
+    sorts = []
+
+    def counting_sorted(items, **kwargs):
+        result = sorted(items, **kwargs)
+        sorts.append(len(result))
+        return result
+
+    monkeypatch.setattr(graph_module, "sorted", counting_sorted, raising=False)
+    assert run("color", path, "-o", out) == 0
+    assert sorts == []
+    assert out.read_bytes() == canonical_json_bytes(coloring_payload(color_graph(sms_graph)))
+
+
+def traced_peak(argv) -> int:
+    """The tracemalloc peak of one CLI run, after a first run that imports and fills caches."""
+    assert run(*argv) == 0
+    tracemalloc.start()
+    try:
+        assert run(*argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kcore_on_the_sms_graph_file_peaks_below_its_old_peak(sms_graph, tmp_path):
+    path = tmp_path / "sms.json"
+    save_graph(sms_graph, path)
+    # 9.84 MiB was the peak with the string adjacency; the file's lists and the
+    # integer index now take about 8.6 MiB
+    assert traced_peak(["kcore", path, "--max", "-o", tmp_path / "core.json"]) < 9.84 * 2 ** 20
+
+
+def test_psi_holds_no_graph_once_it_is_checked(sms_graph, tmp_path):
+    path, colored = tmp_path / "sms.json", tmp_path / "coloring.json"
+    save_graph(sms_graph, path)
+    save_coloring(color_graph(sms_graph), colored)
+    # four pairs peak at about 15 MiB, one graph loading while the last is
+    # released; holding every graph it loaded, psi peaked at about 28 MiB
+    argv = ["psi", *["--pair", path, colored] * 4, "-o", tmp_path / "psi.csv"]
+    assert traced_peak(argv) < 20 * 2 ** 20
 
 
 def _truncate(data):

@@ -284,13 +284,27 @@ def test_adjacency_read_releases_the_kept_payload(sms_graph, tmp_path):
     assert loaded.content_hash() == SMS_GRAPH_HASH
 
 
-def test_hash_releases_a_loaded_files_lists(sms_graph, tmp_path):
+def test_a_loaded_files_lists_go_once_the_map_and_the_index_exist(sms_graph, tmp_path):
     path = tmp_path / "sms.json"
     save_graph(sms_graph, path)
+    want = color_graph(sms_graph)
     loaded = load_graph(path)
-    assert loaded._kept is not None
+    kept = loaded._kept
+    assert kept is not None and loaded._edges is None
     assert loaded.content_hash() == SMS_GRAPH_HASH
+    assert loaded.edge_count == sms_graph.edge_count
+    assert color_graph(loaded) == want
+    assert loaded._kept is kept and loaded._edges is None  # still the graph's only edges
+    assert loaded.edges == sms_graph.edges
     assert loaded._kept is None
+    assert loaded.content_hash() == SMS_GRAPH_HASH
+    # the other order: the map first, then the index releases the lists
+    loaded = load_graph(path)
+    assert loaded.edges == sms_graph.edges
+    assert loaded._kept is not None
+    assert core_decomposition(loaded) == core_decomposition(sms_graph)
+    assert loaded._kept is None
+    assert loaded.content_hash() == SMS_GRAPH_HASH
 
 
 def test_hash_then_color_sorts_a_fresh_graph_once(sms_graph, monkeypatch):
@@ -315,9 +329,13 @@ def test_hash_then_color_sorts_a_fresh_graph_once(sms_graph, monkeypatch):
 
 
 def first_reads(g: BigramGraph, order: int) -> tuple:
-    """The hash, adjacency reads, both colorings and the core numbers of ``g``,
-    read in one of four orders, returned in one form that keeps dict order."""
-    reads = [g.content_hash, lambda: observe(g, hash_first=False)[1],
+    """The edges, hash, adjacency reads, both colorings and the core numbers of
+    ``g``, read in one of seven orders, returned in one form that keeps dict order
+    (except the edge map's, which depends on how ``g`` was made)."""
+    probe = sorted(g.nodes)[:60]
+    reads = [lambda: g.edges, lambda: g.edge_count,
+             lambda: [g.has_edge(s, d) for s in probe for d in probe],
+             g.content_hash, lambda: observe(g, hash_first=False)[1],
              lambda: [list(color_graph(g, s).labels.items()) for s in STRATEGIES],
              lambda: list(core_decomposition(g).core_number.items())]
     results = [None] * len(reads)
@@ -334,7 +352,7 @@ def test_concurrent_first_reads_see_the_serial_adjacency(sms_graph, tmp_path):
               lambda: BigramGraph(sms_graph.nodes, sms_graph.edges, sms_graph.source_id))
     for make in makers:
         fresh = make()
-        results = [None] * 4
+        results = [None] * len(serial)  # one thread per first read
         start = threading.Barrier(len(results))
 
         def read(i):
@@ -422,6 +440,89 @@ def test_malformed_edge_entry_messages(edges, message):
     with pytest.raises(SchemaError) as info:
         graph_from_payload(payload, "g.json")
     assert str(info.value) == f"g.json: {message}"
+
+
+def entry_by_entry_edges(nodes: list, edges: list, name: str) -> dict:
+    """The edge check and map build every payload went through before canonical
+    payloads were checked in one pass: the reference that pass is held to."""
+    count = len(nodes)
+    edge_map: dict[tuple[str, str], int] = {}
+    for entry in edges:
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise SchemaError(f"{name}: edge entry {entry!r} is not [src, dst, weight]")
+        si, di, weight = entry
+        if not (type(si) is type(di) is type(weight) is int):  # JSON true/false parse as bool
+            raise SchemaError(f"{name}: edge entry {entry!r} is not [src, dst, weight]")
+        if not (0 <= si < count and 0 <= di < count):
+            raise SchemaError(f"{name}: edge {entry!r} references an absent node")
+        key = (nodes[si], nodes[di])
+        if key in edge_map:
+            raise SchemaError(f"{name}: duplicate edge {key!r}")
+        if weight < 1:
+            raise SchemaError(f"{name}: edge {entry!r} has non-positive weight")
+        edge_map[key] = weight
+    return edge_map
+
+
+PAYLOAD_KINDS = ("canonical", "shuffled", "duplicate", "non_strict_step", "bool_or_float",
+                 "out_of_range", "zero_weight", "not_an_entry")
+
+
+@st.composite
+def graph_payloads(draw):
+    """A canonical payload, a shuffled one, or one with one malformed entry or step."""
+    nodes = sorted(draw(st.sets(st.sampled_from("abcdef"), max_size=6)))
+    n = len(nodes)
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12)
+                 ) if n else set()
+    edges = [[i, j, draw(st.integers(1, 3))] for i, j in sorted(pairs)]
+    kind = draw(st.sampled_from(PAYLOAD_KINDS))
+    if kind == "shuffled":
+        order = draw(st.permutations(range(n)))
+        nodes = [nodes[i] for i in order]
+        moved = {old: new for new, old in enumerate(order)}
+        edges = draw(st.permutations([[moved[i], moved[j], w] for i, j, w in edges]))
+    elif kind != "canonical" and edges:
+        k = draw(st.integers(0, len(edges) - 1))  # after an ascending prefix of k entries
+        i, j, w = edges[k]
+        if kind == "duplicate":
+            edges.insert(k + 1, [i, j, draw(st.integers(1, 3))])
+        elif kind == "non_strict_step" and k + 1 < len(edges):
+            edges[k], edges[k + 1] = edges[k + 1], edges[k]
+        elif kind == "bool_or_float":
+            p = draw(st.integers(0, 2))
+            edges[k][p] = draw(st.sampled_from([True, False, float(edges[k][p])]))
+        elif kind == "out_of_range":
+            edges[k][draw(st.integers(0, 1))] = draw(st.sampled_from([-1, n, n + 1]))
+        elif kind == "zero_weight":
+            edges[k][2] = draw(st.sampled_from([0, -1]))
+        elif kind == "not_an_entry":
+            edges[k] = draw(st.sampled_from([[i, j], [i, j, w, w], (i, j, w), "x", None]))
+    return {"version": 1, "source_id": draw(st.sampled_from(["", "s"])), "nodes": nodes,
+            "edges": edges}
+
+
+@given(graph_payloads())
+def test_payload_check_agrees_with_the_entry_by_entry_check(payload):
+    try:
+        expected = entry_by_entry_edges(payload["nodes"], payload["edges"], "g.json")
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as info:
+            graph_from_payload(payload, "g.json")
+        assert str(info.value) == str(exc)
+        return
+    want = BigramGraph(frozenset(payload["nodes"]), expected, payload["source_id"])
+    g = graph_from_payload(payload, "g.json")
+    canonical = payload["nodes"] == sorted(payload["nodes"]) and payload["edges"] == sorted(
+        payload["edges"])  # a valid payload's nodes and (i, j) pairs are distinct
+    assert (g._edges is None) == canonical
+    # the derived forms first, so a canonical payload's are read from its own lists
+    assert g.edge_count == want.edge_count
+    assert g.content_hash() == want.content_hash()
+    assert g._indexed() == want._indexed()
+    assert list(g.edges.items()) == list(expected.items())
+    assert g == want
+    assert observe(g, hash_first=True) == observe(want, hash_first=True)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
