@@ -229,24 +229,28 @@ def _cmd_kcore(args):
 
 # -- psi --------------------------------------------------------------------
 
+def _checked_coloring(graph_path, coloring_path):
+    """The coloring checked against its graph, and the pair's name.
+
+    A checked coloring's labels are its graph's nodes, so the graph dies
+    with this call: ``psi`` holds one graph at a time.
+    """
+    graph = load_graph(graph_path)
+    coloring = load_coloring(coloring_path)
+    _check_pair(graph, coloring)
+    return coloring, graph.source_id or Path(graph_path).name
+
+
 def _cmd_psi(args):
     if not args.pair:
         raise UsageError("pass at least one --pair GRAPH COLORING")
-    colorings = []
-    ids = []
-    for graph_path, coloring_path in args.pair:
-        graph = load_graph(graph_path)
-        coloring = load_coloring(coloring_path)
-        _check_pair(graph, coloring)
-        # a checked coloring's labels are its graph's nodes: no graph is held
-        colorings.append(coloring)
-        ids.append(graph.source_id or Path(graph_path).name)
+    colorings, ids = zip(*(_checked_coloring(*pair) for pair in args.pair))
     matrix = _agreement_matrix(colorings)
     import csv
     import io
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + ids)
+    writer.writerow(["", *ids])
     for name, row in zip(ids, matrix):
         writer.writerow([name] + [repr(v) for v in row])
     atomic_write_bytes(args.output, buf.getvalue().encode("utf-8"))

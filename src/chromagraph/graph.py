@@ -9,32 +9,26 @@ Untrusted input has two validating entry points: ``BigramGraph(...)``
 for in-memory nodes and edges, and ``graph_from_payload`` (behind
 ``load_graph``) for parsed graph files. Both check every edge once and
 then use the trusted construction ``BigramGraph._trusted``, which
-``build_graph``, ``merge`` and ``extract_kcore`` call directly because
-their input cannot fail the checks.
+``build_graph``, ``merge`` and the k-core re-index (``_induced``) call
+directly because their input cannot fail the checks.
 
-A graph does its derived work only when a caller first reads it. The
-sorted successor and predecessor tuples are built on the first adjacency
-query, the content hash on the first ``content_hash`` call, and the
-integer index that coloring and peeling use on their first read.
-
-The edges exist in one or both of two forms: the string map ``edges``,
-``(src, dst) -> weight``, and the canonical lists, the sorted tokens and
-the ascending ``(i, j, w)`` entries of the graph file. A loaded
-canonical file starts with its own lists alone, any other graph with
-the map alone, and each form is built from the other when it is first
-needed: the map on the first read of ``edges``, the lists by the first
-hash, which sorts once and keeps them for the index. The hash, the
-index and ``edge_count`` read whichever form exists. The one release
-rule: the lists go when the map exists and the index is built, and on
-every adjacency build, which reads the map; never while the map does
-not exist. So a loaded file is hashed and indexed from its own lists,
-and a hash read after the lists are gone sorts the graph again, to the
-same bytes.
+A graph stores its edges once, for life, as the canonical lists of its
+graph file: the sorted tokens and the ``(i, j, w)`` entries, strictly
+ascending by ``(i, j)``. A loaded canonical file hands over its own
+lists, ``extract_kcore`` re-indexes its parent's entries, and every
+other construction sorts once. Everything else is derived from the
+lists when a caller first reads it, and published in one assignment:
+the string map ``edges``, the successor and predecessor tuples, the
+integer index that coloring and peeling use, and the content hash,
+which dumps the lists. Because tokens ascend and entries strictly
+ascend, index order is token order, and one pass over the entries meets
+each node's successors, and in a second pass its predecessors, in
+ascending order: no derived form sorts.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from itertools import chain, pairwise
 from operator import lt
 
@@ -51,6 +45,14 @@ def _payload(source_id: str, nodes: list, edges: list) -> dict:
             "edges": edges}
 
 
+def _sorted_lists(nodes, edges: dict) -> tuple[list, list]:
+    """The canonical lists of ``nodes`` and the edge map ``edges``: the one sort."""
+    tokens = sorted(nodes)
+    index = {token: i for i, token in enumerate(tokens)}
+    # tuples sort faster than lists, and json.dumps writes both as arrays
+    return tokens, sorted((index[s], index[d], w) for (s, d), w in edges.items())
+
+
 class BigramGraph:
     """Immutable weighted directed simple graph over token strings.
 
@@ -60,13 +62,11 @@ class BigramGraph:
     The constructor checks these invariants and raises SchemaError.
     """
 
-    # _edges is the string edge map and _kept the canonical (nodes, edges)
-    # lists; at least one of them is set (see the module docstring for
-    # when each is built and released). _kept is released only after
-    # _edges is published, so a reader that reads _kept before _edges
-    # finds one of them set. _succ and _pred are None until the first
-    # adjacency query (see _adjacency), _index until the first _indexed call.
-    __slots__ = ("nodes", "source_id", "_edges", "_kept", "_succ", "_pred", "_index", "_hash")
+    # _tokens and _entries are the canonical lists, the only edge storage;
+    # _edges, _succ/_pred, _index and _hash are derived from them and None
+    # until first read (see the module docstring)
+    __slots__ = ("nodes", "source_id", "_tokens", "_entries", "_edges", "_succ", "_pred",
+                 "_index", "_hash")
 
     def __init__(self, nodes=(), edges=None, source_id: str = ""):
         edges = dict(edges) if edges else {}
@@ -76,67 +76,50 @@ class BigramGraph:
                 raise SchemaError(f"edge ({src!r}, {dst!r}) has an endpoint outside the node set")
             if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
                 raise SchemaError(f"edge ({src!r}, {dst!r}) has invalid weight {weight!r}")
-        self._setup(nodes, edges, source_id)
+        self._setup(nodes, source_id, *_sorted_lists(nodes, edges))
 
     @classmethod
-    def _trusted(cls, nodes: frozenset, edges: dict | None, source_id: str,
-                 kept: tuple[list, list] | None = None) -> BigramGraph:
-        """The graph over ``nodes`` and ``edges`` as given: no checks, no copies.
+    def _trusted(cls, nodes: frozenset, source_id: str, tokens: list, entries: list
+                 ) -> BigramGraph:
+        """The graph over ``nodes`` with the canonical lists as given: no checks, no copies.
 
-        The caller guarantees the class invariants and hands over a
-        frozenset and a plain dict it no longer mutates, or None for
-        ``edges`` and the canonical ``(nodes, edges)`` lists as ``kept``.
+        The caller guarantees the class invariants, that ``tokens`` is
+        ``nodes`` sorted and that ``entries`` strictly ascend, and hands
+        over lists it no longer mutates.
         """
         graph = cls.__new__(cls)
-        graph._setup(nodes, edges, source_id, kept)
+        graph._setup(nodes, source_id, tokens, entries)
         return graph
 
-    def _setup(self, nodes, edges, source_id, kept=None) -> None:
+    def _setup(self, nodes, source_id, tokens, entries) -> None:
         self.nodes = nodes
         self.source_id = source_id
-        self._edges = edges
-        self._kept = kept
-        self._succ = self._pred = self._index = self._hash = None
+        self._tokens = tokens
+        self._entries = entries
+        self._edges = self._succ = self._pred = self._index = self._hash = None
 
     @property
     def edges(self) -> dict[tuple[str, str], int]:
-        """The edge map ``(src, dst) -> weight``; a loaded file's is built on first read."""
-        kept = self._kept  # read first: the lists go only after the map is published
+        """The edge map ``(src, dst) -> weight`` in token order, built on first read."""
         edges = self._edges
-        return self._edge_map(kept) if edges is None else edges
-
-    def _edge_map(self, kept: tuple[list, list]) -> dict[tuple[str, str], int]:
-        """Build and publish the map from the kept lists; release them if the index exists."""
-        tokens, entries = kept
-        edges = self._edges = {(tokens[i], tokens[j]): w for i, j, w in entries}
-        if self._index is not None:
-            self._kept = None
+        if edges is None:
+            tokens = self._tokens
+            edges = self._edges = {(tokens[i], tokens[j]): w for i, j, w in self._entries}
         return edges
 
-    def _edges_within(self, nodes: frozenset) -> dict[tuple[str, str], int]:
-        """The edges with both ends in ``nodes``, read from whichever form exists."""
-        kept = self._kept
-        edges = self._edges
-        if edges is not None:
-            return {(s, d): w for (s, d), w in edges.items() if s in nodes and d in nodes}
-        tokens, entries = kept
-        inside = [t in nodes for t in tokens]
-        return {(tokens[i], tokens[j]): w for i, j, w in entries if inside[i] and inside[j]}
-
     def _adjacency(self) -> None:
-        """Build and publish the successor and predecessor tuples; release any kept lists."""
-        outs: defaultdict[str, list[str]] = defaultdict(list)
-        ins: defaultdict[str, list[str]] = defaultdict(list)
-        for src, dst in self.edges:
-            outs[src].append(dst)
-            ins[dst].append(src)
-        for ns in chain(outs.values(), ins.values()):
-            ns.sort()
+        """Build and publish the successor and predecessor tuples."""
+        tokens, entries = self._tokens, self._entries
+        outs: list[list[str]] = [[] for _ in tokens]
+        ins: list[list[str]] = [[] for _ in tokens]
+        for i, j, _ in entries:
+            outs[i].append(tokens[j])
+        for i, j, _ in entries:
+            ins[j].append(tokens[i])
         # _succ is published last, so a reader that finds it set finds
         # both maps complete; one that finds it unset builds its own
-        self._pred = {v: tuple(ns) for v, ns in ins.items()}
-        self._succ = {v: tuple(ns) for v, ns in outs.items()}
-        self._kept = None  # the loop above read the map, so it exists
+        self._pred = {tokens[v]: tuple(ns) for v, ns in enumerate(ins) if ns}
+        self._succ = {tokens[v]: tuple(ns) for v, ns in enumerate(outs) if ns}
 
     def _indexed(self) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
         """The integer index ``(tokens, arcs)``, built on the first call.
@@ -152,26 +135,35 @@ class BigramGraph:
         return index
 
     def _build_index(self) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
-        """Build and publish the index from the canonical lists; release them if the map exists."""
-        nodes, edges = self._canonical()
+        """Build and publish the index from the canonical lists."""
+        tokens, entries = self._tokens, self._entries
         # one int object per index for every arc to share: a parsed file
         # holds a separate int for each number in its edge entries
-        ids = list(range(len(nodes)))
-        arcs: list = [[] for _ in nodes]
-        # the edges ascend by (i, j): the first pass appends each node's
-        # successors in ascending order, the second its predecessors
-        for i, j, _ in edges:
+        ids = list(range(len(tokens)))
+        arcs: list = [[] for _ in tokens]
+        for i, j, _ in entries:
             arcs[i].append(ids[j])
-        for i, j, _ in edges:
+        for i, j, _ in entries:
             arcs[j].append(ids[i])
         for i, ns in enumerate(arcs):
             arcs[i] = tuple(ns)  # each list is freed as its tuple is made
         # one assignment publishes the whole index; a reader that finds it
         # unset builds its own, to the same tuples
-        index = self._index = (tuple(nodes), tuple(arcs))
-        if self._edges is not None:
-            self._kept = None
+        index = self._index = (tuple(tokens), tuple(arcs))
         return index
+
+    def _induced(self, nodes: frozenset) -> BigramGraph:
+        """The subgraph ``nodes`` induces, its entries re-indexed from this graph's.
+
+        A token's rank among ``nodes`` grows with its index here, so the
+        re-indexed entries still strictly ascend: nothing is sorted.
+        """
+        tokens = [t for t in self._tokens if t in nodes]
+        rank = {t: r for r, t in enumerate(tokens)}
+        ranks = [rank.get(t) for t in self._tokens]
+        entries = [(ranks[i], ranks[j], w) for i, j, w in self._entries
+                   if ranks[i] is not None and ranks[j] is not None]
+        return BigramGraph._trusted(nodes, self.source_id, tokens, entries)
 
     @property
     def node_count(self) -> int:
@@ -179,12 +171,11 @@ class BigramGraph:
 
     @property
     def edge_count(self) -> int:
-        kept = self._kept
-        return len(self._edges) if kept is None else len(kept[1])
+        return len(self._entries)
 
     def bigram_total(self) -> int:
         """Total number of bi-gram occurrences (sum of edge weights)."""
-        return sum(self.edges.values())
+        return sum(w for _, _, w in self._entries)
 
     # Each query tests the slot instead of using __getattr__: a class that
     # defines __getattr__ loses the interpreter's fast slot reads.
@@ -220,31 +211,14 @@ class BigramGraph:
         """Weight of edge (src, dst); 0 when the edge is absent."""
         return self.edges.get((src, dst), 0)
 
-    def _canonical(self) -> tuple[list, list]:
-        """Sorted nodes and ascending ``(i, j, w)`` edges: the kept pair, else one sort."""
-        kept = self._kept
-        if kept is not None:
-            return kept
-        nodes = sorted(self.nodes)
-        index = {token: i for i, token in enumerate(nodes)}
-        # tuples sort faster than lists, and json.dumps writes both as arrays
-        return nodes, sorted((index[s], index[d], w) for (s, d), w in self._edges.items())
-
     def canonical_bytes(self) -> bytes:
         """Canonical on-disk bytes: sorted nodes, index-based edges sorted by index pair."""
-        return canonical_json_bytes(_payload(self.source_id, *self._canonical()))
+        return canonical_json_bytes(_payload(self.source_id, self._tokens, self._entries))
 
     def content_hash(self) -> str:
-        """SHA-256 of the canonical bytes, computed at most once per graph.
-
-        Lists this call sorts are kept for the index build, unless the
-        index is built already.
-        """
+        """SHA-256 of the canonical bytes, computed at most once per graph."""
         if self._hash is None:
-            canonical = self._canonical()
-            self._hash = sha256_hex(canonical_json_bytes(_payload(self.source_id, *canonical)))
-            if self._index is None:
-                self._kept = canonical
+            self._hash = sha256_hex(self.canonical_bytes())
         return self._hash
 
     def __eq__(self, other) -> bool:
@@ -269,7 +243,8 @@ def build_graph(corpus: Corpus) -> BigramGraph:
     An empty corpus yields an empty graph.
     """
     counts = Counter(chain.from_iterable(pairwise(doc.tokens) for doc in corpus.docs))
-    return BigramGraph._trusted(corpus.vocabulary(), dict(counts), corpus.source_id)
+    nodes = corpus.vocabulary()
+    return BigramGraph._trusted(nodes, corpus.source_id, *_sorted_lists(nodes, counts))
 
 
 def _merge_source_ids(a: str, b: str) -> str:
@@ -286,8 +261,9 @@ def merge(a: BigramGraph, b: BigramGraph) -> BigramGraph:
     """
     counts = Counter(a.edges)
     counts.update(b.edges)
-    return BigramGraph._trusted(a.nodes | b.nodes, dict(counts),
-                                _merge_source_ids(a.source_id, b.source_id))
+    nodes = a.nodes | b.nodes
+    return BigramGraph._trusted(nodes, _merge_source_ids(a.source_id, b.source_id),
+                                *_sorted_lists(nodes, counts))
 
 
 def save_graph(g: BigramGraph, path) -> None:
@@ -327,13 +303,12 @@ def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
 
     A payload in canonical order (nodes strictly ascending, edge entries
     strictly ascending by ``(src, dst)``), as every file ``save_graph``
-    writes is, is checked in one pass that builds nothing, and the graph
-    keeps its ``nodes`` and ``edges`` lists as its edges: its hash and
-    index read them, and the string map is built on the first read of
-    ``edges``. The caller hands those lists over and no longer mutates
-    them, as with ``BigramGraph._trusted``. Any other payload, valid or
-    not, is checked entry by entry as it builds the string map, so each
-    error is the first one that pass meets.
+    writes is, is checked in one pass that builds nothing, and its
+    ``nodes`` and ``edges`` lists become the graph's edge storage. The
+    caller hands those lists over and no longer mutates them, as with
+    ``BigramGraph._trusted``. Any other payload, valid or not, is
+    checked entry by entry as it builds a string map, so each error is
+    the first one that pass meets, and a valid one is then sorted.
     """
     check_version(payload, GRAPH_SCHEMA_VERSION, name, "graph")
     nodes = payload.get("nodes")
@@ -350,7 +325,7 @@ def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
         raise SchemaError(f"{name}: 'source_id' must be a string")
     count = len(nodes)
     if all(map(lt, nodes, nodes[1:])) and _canonical_entries(edges, count):
-        return BigramGraph._trusted(node_set, None, source_id, (nodes, edges))
+        return BigramGraph._trusted(node_set, source_id, nodes, edges)
     edge_map: dict[tuple[str, str], int] = {}
     for entry in edges:
         if not isinstance(entry, list) or len(entry) != 3:
@@ -366,4 +341,4 @@ def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
         if weight < 1:
             raise SchemaError(f"{name}: edge {entry!r} has non-positive weight")
         edge_map[key] = weight
-    return BigramGraph._trusted(node_set, edge_map, source_id)
+    return BigramGraph._trusted(node_set, source_id, *_sorted_lists(node_set, edge_map))

@@ -126,7 +126,7 @@ def extract_kcore(g: BigramGraph, k: int | None = None, *,
         n_components = 1
     else:
         n_components = len(components)
-    core = BigramGraph._trusted(retained, g._edges_within(retained), g.source_id)
+    core = g._induced(retained)
     return KCoreSubgraph(k, core, retained, frozenset(g.nodes - retained), n_components)
 
 

@@ -162,12 +162,12 @@ def test_build_cache_entry_written_at_level_6_is_a_hit(tmp_path, pizza_file, mon
 @pytest.fixture()
 def graph_work(monkeypatch):
     """Live counts of adjacency builds (string adjacency or integer index), of
-    string adjacency builds alone, of string edge maps built from a loaded file's
+    string adjacency builds alone, of string edge maps built from a graph's
     lists, and of graph dumps (for a hash or canonical bytes)."""
     counts = {"adjacency": 0, "strings": 0, "maps": 0, "dump": 0}
     build_adjacency = BigramGraph._adjacency
     build_index = BigramGraph._build_index
-    build_map = BigramGraph._edge_map
+    read_edges = BigramGraph.edges.fget
     dump = graph_module.canonical_json_bytes
 
     def counting_adjacency(self):
@@ -179,9 +179,9 @@ def graph_work(monkeypatch):
         counts["adjacency"] += 1
         return build_index(self)
 
-    def counting_map(self, kept):
-        counts["maps"] += 1
-        return build_map(self, kept)
+    def counting_edges(self):
+        counts["maps"] += self._edges is None  # the first read builds the map
+        return read_edges(self)
 
     def counting_dump(obj):
         counts["dump"] += 1
@@ -189,7 +189,7 @@ def graph_work(monkeypatch):
 
     monkeypatch.setattr(BigramGraph, "_adjacency", counting_adjacency)
     monkeypatch.setattr(BigramGraph, "_build_index", counting_index)
-    monkeypatch.setattr(BigramGraph, "_edge_map", counting_map)
+    monkeypatch.setattr(BigramGraph, "edges", property(counting_edges))
     monkeypatch.setattr(graph_module, "canonical_json_bytes", counting_dump)
     return counts
 
@@ -198,7 +198,7 @@ def test_commands_build_adjacency_and_hash_only_when_read(tmp_path, pizza_file, 
                                                           graph_work):
     monkeypatch.setenv("CHROMAGRAPH_CACHE_DIR", str(tmp_path / "cache"))
     g, c = tmp_path / "g.json", tmp_path / "c.json"
-    # no command builds a loaded file's string edge map: each reads the file's lists
+    # no command builds a string edge map: each reads the graph's lists
     steps = [
         (["build", pizza_file, "-o", g], {"adjacency": 0, "strings": 0, "maps": 0, "dump": 1}),
         (["build", pizza_file, "-o", tmp_path / "hit.json"],
@@ -256,10 +256,11 @@ def test_psi_holds_no_graph_once_it_is_checked(sms_graph, tmp_path):
     path, colored = tmp_path / "sms.json", tmp_path / "coloring.json"
     save_graph(sms_graph, path)
     save_coloring(color_graph(sms_graph), colored)
-    # four pairs peak at about 15 MiB, one graph loading while the last is
-    # released; holding every graph it loaded, psi peaked at about 28 MiB
+    # four pairs peak at about 12.3 MiB, one graph at a time; holding the last
+    # graph while the next one loaded, psi peaked at 15.1 MiB, and holding
+    # every graph it loaded, at about 28 MiB
     argv = ["psi", *["--pair", path, colored] * 4, "-o", tmp_path / "psi.csv"]
-    assert traced_peak(argv) < 20 * 2 ** 20
+    assert traced_peak(argv) < 13 * 2 ** 20
 
 
 def _truncate(data):

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import random
+import re
 import sys
 import threading
 from enum import IntEnum
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -274,41 +276,42 @@ def test_every_construction_route_agrees_on_sms_graph(sms_graph, tmp_path):
     assert_routes_agree(sms_graph, tmp_path / "sms.json")
 
 
-def test_adjacency_read_releases_the_kept_payload(sms_graph, tmp_path):
+def test_adjacency_read_keeps_the_loaded_lists(sms_graph, tmp_path):
     path = tmp_path / "sms.json"
     save_graph(sms_graph, path)
     loaded = load_graph(path)
-    assert loaded._kept is not None
+    tokens, entries = loaded._tokens, loaded._entries
     loaded.successors(min(loaded.nodes))
-    assert loaded._kept is None
+    # the adjacency is read from the lists: no map is built, nothing is released
+    assert loaded._tokens is tokens and loaded._entries is entries and loaded._edges is None
     assert loaded.content_hash() == SMS_GRAPH_HASH
+    assert observe(loaded, hash_first=False) == observe(sms_graph, hash_first=False)
 
 
-def test_a_loaded_files_lists_go_once_the_map_and_the_index_exist(sms_graph, tmp_path):
+def test_a_loaded_files_lists_are_its_edges_for_life(sms_graph, tmp_path):
     path = tmp_path / "sms.json"
     save_graph(sms_graph, path)
+    payload = json.loads(path.read_bytes())
     want = color_graph(sms_graph)
-    loaded = load_graph(path)
-    kept = loaded._kept
-    assert kept is not None and loaded._edges is None
-    assert loaded.content_hash() == SMS_GRAPH_HASH
-    assert loaded.edge_count == sms_graph.edge_count
-    assert color_graph(loaded) == want
-    assert loaded._kept is kept and loaded._edges is None  # still the graph's only edges
-    assert loaded.edges == sms_graph.edges
-    assert loaded._kept is None
-    assert loaded.content_hash() == SMS_GRAPH_HASH
-    # the other order: the map first, then the index releases the lists
-    loaded = load_graph(path)
-    assert loaded.edges == sms_graph.edges
-    assert loaded._kept is not None
-    assert core_decomposition(loaded) == core_decomposition(sms_graph)
-    assert loaded._kept is None
-    assert loaded.content_hash() == SMS_GRAPH_HASH
+    for reads_map_first in (False, True):
+        loaded = graph_from_payload(payload)
+        assert loaded._tokens is payload["nodes"] and loaded._entries is payload["edges"]
+        if reads_map_first:
+            assert loaded.edges == sms_graph.edges
+        assert loaded.content_hash() == SMS_GRAPH_HASH
+        assert loaded.edge_count == sms_graph.edge_count
+        assert color_graph(loaded) == want
+        assert core_decomposition(loaded) == core_decomposition(sms_graph)
+        assert loaded.edges == sms_graph.edges
+        assert loaded.successors("call") == sms_graph.successors("call")
+        # every derived form exists, and the file's lists are still the storage
+        assert loaded._tokens is payload["nodes"] and loaded._entries is payload["edges"]
+        assert loaded.canonical_bytes() == path.read_bytes()
 
 
-def test_hash_then_color_sorts_a_fresh_graph_once(sms_graph, monkeypatch):
-    fresh = BigramGraph(sms_graph.nodes, sms_graph.edges, sms_graph.source_id)
+def test_hash_then_color_sorts_a_fresh_graph_once(sms_graph, tmp_path, monkeypatch):
+    corpus = corpus_of(sms_graph)
+    fresh = build_graph(corpus)
     want, want_cores = color_graph(fresh), core_decomposition(fresh)
     sorts = []
 
@@ -318,22 +321,24 @@ def test_hash_then_color_sorts_a_fresh_graph_once(sms_graph, monkeypatch):
         return result
 
     monkeypatch.setattr(graph_module, "sorted", counting_sorted, raising=False)
-    g = BigramGraph(sms_graph.nodes, sms_graph.edges, sms_graph.source_id)
-    assert g.content_hash() == SMS_GRAPH_HASH
-    assert g._kept is not None  # the sorted lists wait for the index build
-    assert color_graph(g) == want
+    g = build_graph(corpus)
+    # the one sort is the construction's; nothing read after it sorts again
     assert sorts == [g.node_count, g.edge_count]
-    assert g._kept is None
+    assert g.content_hash() == SMS_GRAPH_HASH
+    assert color_graph(g) == want
     assert core_decomposition(g) == want_cores
+    save_graph(g, tmp_path / "g.json")
+    assert (tmp_path / "g.json").read_bytes() == sms_graph.canonical_bytes()
+    assert g.successors("call") == sms_graph.successors("call")
+    assert g.edges == sms_graph.edges
     assert sorts == [g.node_count, g.edge_count]
 
 
 def first_reads(g: BigramGraph, order: int) -> tuple:
     """The edges, hash, adjacency reads, both colorings and the core numbers of
-    ``g``, read in one of seven orders, returned in one form that keeps dict order
-    (except the edge map's, which depends on how ``g`` was made)."""
+    ``g``, read in one of seven orders, returned in one form that keeps dict order."""
     probe = sorted(g.nodes)[:60]
-    reads = [lambda: g.edges, lambda: g.edge_count,
+    reads = [lambda: list(g.edges.items()), lambda: g.edge_count,
              lambda: [g.has_edge(s, d) for s in probe for d in probe],
              g.content_hash, lambda: observe(g, hash_first=False)[1],
              lambda: [list(color_graph(g, s).labels.items()) for s in STRATEGIES],
@@ -515,12 +520,14 @@ def test_payload_check_agrees_with_the_entry_by_entry_check(payload):
     g = graph_from_payload(payload, "g.json")
     canonical = payload["nodes"] == sorted(payload["nodes"]) and payload["edges"] == sorted(
         payload["edges"])  # a valid payload's nodes and (i, j) pairs are distinct
-    assert (g._edges is None) == canonical
+    # a canonical payload's lists are the graph's storage; the others are sorted once
+    assert (g._tokens is payload["nodes"] and g._entries is payload["edges"]) == canonical
+    assert g._edges is None
     # the derived forms first, so a canonical payload's are read from its own lists
     assert g.edge_count == want.edge_count
     assert g.content_hash() == want.content_hash()
     assert g._indexed() == want._indexed()
-    assert list(g.edges.items()) == list(expected.items())
+    assert list(g.edges.items()) == sorted(expected.items())  # token order, on every route
     assert g == want
     assert observe(g, hash_first=True) == observe(want, hash_first=True)
 
@@ -582,6 +589,23 @@ def test_successors_sorted(pizza_graph):
     assert pizza_graph.successors("i") == ("love", "usually")
     assert pizza_graph.predecessors("pizza") == ("a", "eating")
     assert pizza_graph.successors("outside") == ()
+
+
+def test_no_other_module_reads_the_graphs_storage():
+    # outside graph.py, a graph's private members are read only through the
+    # integer index and the re-index behind extract_kcore
+    private = {name for name in dir(BigramGraph)
+               if name.startswith("_") and not name.startswith("__")}
+    assert {"_tokens", "_entries", "_edges", "_succ", "_pred", "_index", "_hash"} <= private
+    package = Path(graph_module.__file__).parent
+    read = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name != "graph.py":
+            names = set(re.findall(r"\.(_\w+)", path.read_text(encoding="utf-8")))
+            read[path.name] = sorted(names & private)
+    assert read.pop("coloring.py") == ["_indexed"]
+    assert read.pop("kcore.py") == ["_indexed", "_induced"]
+    assert all(names == [] for names in read.values()), read
 
 
 def test_bigram_graph_public_surface():

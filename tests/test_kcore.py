@@ -5,7 +5,7 @@ import pytest
 
 from chromagraph import BigramGraph, Corpus, Document, IngestConfig, KCoreError, \
     KCoreSubgraph, build_graph, color_graph, core_decomposition, core_report, extract_kcore, \
-    load_corpus, read_stopwords, reduce_corpus
+    load_corpus, load_graph, read_stopwords, reduce_corpus, save_graph
 from chromagraph.kcore import CoreDecomposition
 
 from conftest import DATA_DIR, PIZZA_CORE_TOKENS, neighbor_sets, random_graph
@@ -206,6 +206,30 @@ def test_component_count_and_largest_only():
     largest = extract_kcore(g, 2, largest_component_only=True)
     assert largest.retained == frozenset({"x", "y", "z"})
     assert largest.components == 1
+
+
+@pytest.mark.parametrize("largest_component_only", [False, True])
+def test_core_lists_are_the_parents_reindexed(sms_graph, tmp_path, largest_component_only):
+    # a seeded core number per node makes each retained set a random subset;
+    # the oracle sorts the induced edge map, the core re-indexes the parent's
+    path = tmp_path / "sms.json"
+    save_graph(sms_graph, path)
+    rng = random.Random(23)
+    makers = {"fresh": lambda: BigramGraph(sms_graph.nodes, sms_graph.edges, sms_graph.source_id),
+              "loaded": lambda: load_graph(path)}
+    for name, make in makers.items():
+        g = make()
+        for share in (0.0, 0.02, rng.random(), rng.random(), 1.0):
+            decomp = CoreDecomposition(
+                {v: 2 if rng.random() < share else 1 for v in sorted(g.nodes)}, 2)
+            core = extract_kcore(g, 2, decomposition=decomp,
+                                 largest_component_only=largest_component_only)
+            retained = core.retained
+            oracle = BigramGraph(retained, {e: w for e, w in g.edges.items()
+                                            if e[0] in retained and e[1] in retained},
+                                 g.source_id)
+            assert core.graph.canonical_bytes() == oracle.canonical_bytes(), (name, share)
+            assert core.graph._indexed() == oracle._indexed(), (name, share)
 
 
 def test_reduce_corpus_identity(pizza_corpus, pizza_graph):
