@@ -1,7 +1,10 @@
-"""Shared artifact-file plumbing: canonical JSON, atomic writes, reads, hashing."""
+"""Shared artifact-file plumbing: canonical JSON, atomic writes, reads, hashing,
+and the collector pause around bulk passes."""
 
 from __future__ import annotations
 
+import functools
+import gc
 import hashlib
 import json
 import os
@@ -12,6 +15,30 @@ from pathlib import Path
 
 class SchemaError(ValueError):
     """An artifact file does not match its documented schema."""
+
+
+def gc_paused(fn):
+    """Decorate a pass over a whole corpus, graph or file to run with the cyclic GC paused.
+
+    Such a pass allocates many container objects that all stay alive, so
+    every collection it would trigger walks live objects and frees
+    nothing. The collector is process-wide. A pause that finds it on
+    turns it off, and on again when the pass returns or raises. A pause
+    that finds it off (inside another pause, this thread's or another's,
+    or under a caller that turned it off) touches nothing: had it turned
+    the collector off as well, another thread's pause ending in between
+    could leave it off for good.
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 def canonical_json_bytes(payload) -> bytes:
@@ -92,6 +119,7 @@ def check_version(payload, expected: int, name: str, kind: str) -> None:
         raise SchemaError(f"{name}: unsupported {kind} schema version {version!r}")
 
 
+@gc_paused
 def read_json(path):
     """Parse a JSON artifact file as UTF-8.
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
+from ._files import gc_paused
 from .corpus import Corpus, Document
 
 
@@ -25,13 +27,12 @@ class TfidfModel:
     doc_count: int
 
 
+@gc_paused
 def tfidf_fit(corpus: Corpus) -> TfidfModel:
     """Fit vocabulary and idf values on a non-empty corpus."""
     if not corpus.docs:
         raise ValueError("cannot fit TF-IDF on an empty corpus")
-    df: Counter[str] = Counter()
-    for doc in corpus.docs:
-        df.update(set(doc.tokens))
+    df = Counter(chain.from_iterable(set(doc.tokens) for doc in corpus.docs))
     vocabulary = {token: i for i, token in enumerate(sorted(df))}
     n = len(corpus.docs)
     idf = {token: math.log((1 + n) / (1 + df[token])) + 1.0 for token in vocabulary}
@@ -44,12 +45,21 @@ def tfidf_embed(model: TfidfModel, doc: Document) -> dict[int, float]:
     return {model.vocabulary[t]: c * model.idf[t] for t, c in counts.items()}
 
 
+@gc_paused
 def tfidf_centroid(model: TfidfModel, corpus: Corpus) -> dict[int, float]:
-    """Mean of the per-document vectors; the corpus-level embedding."""
+    """Mean of the per-document vectors; the corpus-level embedding.
+
+    Each document adds its ``tfidf_embed`` entries in the same order, but
+    straight from its token counts: within a document each index occurs
+    once, so every sum is the one the vectors would give.
+    """
+    vocabulary, idf = model.vocabulary, model.idf
     acc: dict[int, float] = {}
     for doc in corpus.docs:
-        for i, x in tfidf_embed(model, doc).items():
-            acc[i] = acc.get(i, 0.0) + x
+        for t, c in Counter(doc.tokens).items():
+            if t in vocabulary:
+                i = vocabulary[t]
+                acc[i] = acc.get(i, 0.0) + c * idf[t]
     n = len(corpus.docs)
     return {i: x / n for i, x in acc.items()} if n else {}
 
@@ -117,6 +127,7 @@ class BowClassifier:
     alpha: float
 
 
+@gc_paused
 def bow_train(corpus: Corpus, labels: Sequence[str], alpha: float = 1.0) -> BowClassifier:
     """Train on aligned (document, label) pairs; needs >= 2 classes."""
     if len(corpus.docs) != len(labels):
@@ -136,9 +147,9 @@ def bow_train(corpus: Corpus, labels: Sequence[str], alpha: float = 1.0) -> BowC
     log_prior = {c: math.log(doc_count[c] / n) for c in classes}
     log_likelihood: dict[str, dict[str, float]] = {}
     for c in classes:
-        total = sum(token_counts[c].values())
-        denom = total + alpha * v
-        log_likelihood[c] = {t: math.log((token_counts[c][t] + alpha) / denom)
+        counts = token_counts[c]
+        denom = sum(counts.values()) + alpha * v
+        log_likelihood[c] = {t: math.log((counts.get(t, 0) + alpha) / denom)
                              for t in vocabulary}
     return BowClassifier(classes, log_prior, log_likelihood, frozenset(vocabulary), alpha)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import gzip
 import json
 import os
@@ -32,8 +33,8 @@ import time
 import zlib
 from pathlib import Path
 
-from ._files import (SchemaError, atomic_write_bytes, canonical_json_bytes, parse_json,
-                     sha256_file, sha256_hex)
+from ._files import (SchemaError, atomic_write_bytes, canonical_json_bytes, gc_paused,
+                     parse_json, sha256_file, sha256_hex)
 from .baselines import (bow_predict, bow_train, cosine, evaluate_predictions, jaccard,
                         pearson, tfidf_centroid, tfidf_fit)
 from .coloring import (ColoringMismatchError, STRATEGIES, _agreement_matrix, _check_pair,
@@ -157,8 +158,7 @@ def _build_graph_cached(path, format: str, config: IngestConfig,
         key = _cache_key(Path(path).read_bytes(), format, source_id, config)
         cache_path = Path(cache_dir) / f"graph-{key}.json.gz"
         try:
-            data = gzip.decompress(cache_path.read_bytes())
-            graph = graph_from_payload(parse_json(data.decode("utf-8")), str(cache_path))
+            data, graph = _read_cache_entry(cache_path)
         except (OSError, EOFError, ValueError, zlib.error):
             pass  # an absent or corrupt entry is a miss: rebuild and rewrite it
         else:
@@ -176,6 +176,13 @@ def _build_graph_cached(path, format: str, config: IngestConfig,
     except OSError:
         pass  # an unwritable cache only skips the write; the run still succeeds
     return graph, data, "miss"
+
+
+@gc_paused
+def _read_cache_entry(cache_path) -> tuple[bytes, BigramGraph]:
+    """A cache entry's decompressed bytes and the graph they hold."""
+    data = gzip.decompress(cache_path.read_bytes())
+    return data, graph_from_payload(parse_json(data.decode("utf-8")), str(cache_path))
 
 
 def _cmd_build(args):
@@ -461,7 +468,9 @@ def _cmd_tagdist(args):
 
 # -- parser -----------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and only read after that."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", "-o", required=True, help="primary output path")
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Mapping, Sequence
 
 from ._files import (SchemaError, atomic_write_bytes, canonical_json_bytes, check_version,
-                     read_json)
+                     gc_paused, read_json)
 from .corpus import Corpus, Document
 from .graph import BigramGraph
 
@@ -60,7 +61,7 @@ class Coloring:
         return {color: tuple(sorted(tokens)) for color, tokens in classes.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChromaticVector:
     """Per-token color labels of one text; UNKNOWN_LABEL marks unknown tokens."""
 
@@ -224,18 +225,22 @@ def embed_text(doc: Document, coloring: Coloring) -> ChromaticVector:
     The vector length always equals the token count. Distinct token
     sequences can share an embedding: the map is not injective.
     """
-    return ChromaticVector(tuple(coloring.labels.get(t, UNKNOWN_LABEL) for t in doc.tokens))
+    return ChromaticVector(tuple(map(coloring.labels.get, doc.tokens, repeat(UNKNOWN_LABEL))))
 
 
+@gc_paused
 def project_coloring(coloring: Coloring, foreign: Corpus) -> ProjectionResult:
     """Apply a coloring to every document of a foreign corpus.
 
-    Coverage is the fraction of foreign tokens that received a real
-    label (0.0 for a corpus with no tokens at all).
+    Each vector is ``embed_text``'s. Coverage is the fraction of foreign
+    tokens that received a real label (0.0 for a corpus with no tokens
+    at all).
     """
-    vectors = tuple(embed_text(doc, coloring) for doc in foreign.docs)
-    total = sum(len(v) for v in vectors)
-    known = sum(1 for v in vectors for x in v.values if x != UNKNOWN_LABEL)
+    get = coloring.labels.get
+    vectors = tuple(ChromaticVector(tuple(map(get, doc.tokens, repeat(UNKNOWN_LABEL))))
+                    for doc in foreign.docs)
+    total = sum(len(v.values) for v in vectors)
+    known = total - sum(v.values.count(UNKNOWN_LABEL) for v in vectors)
     coverage = known / total if total else 0.0
     return ProjectionResult(vectors, coverage)
 
@@ -270,6 +275,7 @@ def save_coloring(coloring: Coloring, path) -> None:
     atomic_write_bytes(path, canonical_json_bytes(coloring_payload(coloring)))
 
 
+@gc_paused
 def load_coloring(path) -> Coloring:
     """Load a coloring file, enforcing the label-range invariants."""
     name = str(path)

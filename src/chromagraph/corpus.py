@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 
-from ._files import parse_json
+from ._files import gc_paused, parse_json
 
 FORMATS = ("plain", "jsonl", "csv")
 
@@ -58,7 +58,7 @@ class IngestConfig:
     label_field: str = "label"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     """One tokenized text, tokens in surface order."""
 
@@ -152,6 +152,7 @@ def load_labeled_corpus(path, format: str = "csv", config: IngestConfig | None =
     return _load(path, format, config, source_id, labeled=True)
 
 
+@gc_paused
 def _load(path, format, config, source_id, labeled) -> tuple[Corpus, tuple[str, ...]]:
     config = config or IngestConfig()
     records = _read_records(path, format, tuple(fields_read(config, format, labeled).values()))

@@ -33,7 +33,7 @@ from itertools import chain, pairwise
 from operator import lt
 
 from ._files import (SchemaError, atomic_write_bytes, canonical_json_bytes, check_version,
-                     read_json, sha256_hex)
+                     gc_paused, read_json, sha256_hex)
 from .corpus import Corpus
 
 GRAPH_SCHEMA_VERSION = 1
@@ -107,6 +107,7 @@ class BigramGraph:
             edges = self._edges = {(tokens[i], tokens[j]): w for i, j, w in self._entries}
         return edges
 
+    @gc_paused
     def _adjacency(self) -> None:
         """Build and publish the successor and predecessor tuples."""
         tokens, entries = self._tokens, self._entries
@@ -134,6 +135,7 @@ class BigramGraph:
             index = self._build_index()
         return index
 
+    @gc_paused
     def _build_index(self) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
         """Build and publish the index from the canonical lists."""
         tokens, entries = self._tokens, self._entries
@@ -235,6 +237,7 @@ class BigramGraph:
                 f"source_id={self.source_id!r})")
 
 
+@gc_paused
 def build_graph(corpus: Corpus) -> BigramGraph:
     """Build the bi-gram graph of a corpus.
 
@@ -298,6 +301,7 @@ def _canonical_entries(edges: list, count: int) -> bool:
     return True
 
 
+@gc_paused
 def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
     """Validate a parsed graph payload and construct the graph.
 

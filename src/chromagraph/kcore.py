@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._files import gc_paused
 from .corpus import Corpus, Document
 from .graph import BigramGraph
 
@@ -45,6 +46,7 @@ class KCoreSubgraph:
     components: int
 
 
+@gc_paused
 def core_decomposition(g: BigramGraph) -> CoreDecomposition:
     """Compute every node's core number by bucket peeling.
 
@@ -130,14 +132,15 @@ def extract_kcore(g: BigramGraph, k: int | None = None, *,
     return KCoreSubgraph(k, core, retained, frozenset(g.nodes - retained), n_components)
 
 
+@gc_paused
 def reduce_corpus(corpus: Corpus, core: KCoreSubgraph) -> Corpus:
     """Drop every token outside the core's retained vocabulary.
 
     Document count and token order are preserved; documents may become
     empty.
     """
-    docs = tuple(Document(tuple(t for t in doc.tokens if t in core.retained))
-                 for doc in corpus.docs)
+    keep = core.retained.__contains__
+    docs = tuple(Document(tuple(filter(keep, doc.tokens))) for doc in corpus.docs)
     return Corpus(docs, corpus.source_id)
 
 

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import inspect
 import json
 import random
 import re
@@ -376,6 +378,7 @@ def test_concurrent_first_reads_see_the_serial_adjacency(sms_graph, tmp_path):
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads)
         assert all(result == serial for result in results)
+        assert gc.isenabled()  # every thread's collector pause has ended
 
 
 def test_adjacency_is_published_predecessors_first(pizza_graph):
@@ -389,9 +392,9 @@ def test_adjacency_is_published_predecessors_first(pizza_graph):
             torn.append(frame.f_lineno)
         return check
 
+    build = inspect.unwrap(BigramGraph._adjacency).__code__  # the body, not the GC pause
     previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg:
-                 check if frame.f_code is BigramGraph._adjacency.__code__ else None)
+    sys.settrace(lambda frame, event, arg: check if frame.f_code is build else None)
     try:
         assert g.successors("i") == ("love", "usually")
     finally:
