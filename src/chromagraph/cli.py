@@ -171,8 +171,9 @@ def _build_graph_cached(path, format: str, config: IngestConfig,
         return graph, data, None
     try:
         # level 1 writes the SMS graph 4x as fast as level 6 for an entry a fifth
-        # larger; every level decompresses to the same bytes, so any entry reads
-        atomic_write_bytes(cache_path, gzip.compress(data, compresslevel=1))
+        # larger; every level decompresses to the same bytes, so any entry reads.
+        # A zero timestamp makes two writes of one graph the same bytes.
+        atomic_write_bytes(cache_path, gzip.compress(data, compresslevel=1, mtime=0))
     except OSError:
         pass  # an unwritable cache only skips the write; the run still succeeds
     return graph, data, "miss"

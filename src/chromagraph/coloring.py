@@ -105,7 +105,7 @@ def check_properness(g: BigramGraph, labels: Mapping[str, int]) -> None:
     missing = [v for v in g.nodes if v not in labels]
     if missing:
         raise ImproperColoringError(f"{len(missing)} nodes have no color, e.g. {missing[0]!r}")
-    tokens, arcs = g._indexed()
+    tokens, arcs = g._index
     colors = [labels[t] for t in tokens]
     for v, ns in enumerate(arcs):
         color = colors[v]
@@ -128,9 +128,8 @@ def color_graph(g: BigramGraph, strategy: str = "degree_desc") -> Coloring:
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown coloring strategy: {strategy!r} (expected one of {STRATEGIES})")
-    # read first: a fresh graph's hash sorts the lists the index is then built from
     graph_hash = g.content_hash()
-    tokens, arcs = g._indexed()
+    tokens, arcs = g._index
     order = range(len(tokens))
     if strategy == "degree_desc":
         # a stable sort: equal degrees stay in index order, which is token order

@@ -16,19 +16,22 @@ A graph stores its edges once, for life, as the canonical lists of its
 graph file: the sorted tokens and the ``(i, j, w)`` entries, strictly
 ascending by ``(i, j)``. A loaded canonical file hands over its own
 lists, ``extract_kcore`` re-indexes its parent's entries, and every
-other construction sorts once. Everything else is derived from the
-lists when a caller first reads it, and published in one assignment:
-the string map ``edges``, the successor and predecessor tuples, the
-integer index that coloring and peeling use, and the content hash,
-which dumps the lists. Because tokens ascend and entries strictly
-ascend, index order is token order, and one pass over the entries meets
-each node's successors, and in a second pass its predecessors, in
-ascending order: no derived form sorts.
+other construction sorts once. Everything else is a ``cached_property``
+computed from the lists on first read and stored once per graph: the
+string map ``edges``, the successor and predecessor maps, the integer
+index that coloring and peeling use, and the content hash, which dumps
+the lists. On Python 3.10 and 3.11 its lock serializes racing first
+reads; from 3.12 racing readers may each compute a form, all equal.
+Because tokens ascend and entries strictly ascend, index order is token
+order, and one pass over the entries meets each node's successors, and
+in a second pass its predecessors, in ascending order: no derived form
+sorts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from itertools import chain, pairwise
 from operator import lt
 
@@ -59,18 +62,22 @@ class BigramGraph:
     Every edge endpoint is a node, every weight is a positive integer,
     and (src, dst) appears at most once: the weight is the multiplicity.
     Self-loops (a token following itself) are stored with their count.
-    The constructor checks these invariants and raises SchemaError.
+    The constructor checks these invariants and that the nodes and
+    ``source_id`` are strings, as a file load does, and raises SchemaError.
     """
 
     # _tokens and _entries are the canonical lists, the only edge storage;
-    # _edges, _succ/_pred, _index and _hash are derived from them and None
-    # until first read (see the module docstring)
-    __slots__ = ("nodes", "source_id", "_tokens", "_entries", "_edges", "_succ", "_pred",
-                 "_index", "_hash")
+    # __dict__ holds the cached forms derived from them
+    __slots__ = ("nodes", "source_id", "_tokens", "_entries", "__dict__")
 
     def __init__(self, nodes=(), edges=None, source_id: str = ""):
         edges = dict(edges) if edges else {}
         nodes = frozenset(nodes)
+        for node in nodes:
+            if not isinstance(node, str):
+                raise SchemaError(f"node {node!r} is not a string")
+        if not isinstance(source_id, str):
+            raise SchemaError(f"source_id {source_id!r} is not a string")
         for (src, dst), weight in edges.items():
             if src not in nodes or dst not in nodes:
                 raise SchemaError(f"edge ({src!r}, {dst!r}) has an endpoint outside the node set")
@@ -96,20 +103,17 @@ class BigramGraph:
         self.source_id = source_id
         self._tokens = tokens
         self._entries = entries
-        self._edges = self._succ = self._pred = self._index = self._hash = None
 
-    @property
+    @cached_property
     def edges(self) -> dict[tuple[str, str], int]:
-        """The edge map ``(src, dst) -> weight`` in token order, built on first read."""
-        edges = self._edges
-        if edges is None:
-            tokens = self._tokens
-            edges = self._edges = {(tokens[i], tokens[j]): w for i, j, w in self._entries}
-        return edges
+        """The edge map ``(src, dst) -> weight`` in token order."""
+        tokens = self._tokens
+        return {(tokens[i], tokens[j]): w for i, j, w in self._entries}
 
+    @cached_property
     @gc_paused
-    def _adjacency(self) -> None:
-        """Build and publish the successor and predecessor tuples."""
+    def _adjacency(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
+        """The successor and predecessor maps ``(succ, pred)``."""
         tokens, entries = self._tokens, self._entries
         outs: list[list[str]] = [[] for _ in tokens]
         ins: list[list[str]] = [[] for _ in tokens]
@@ -117,27 +121,19 @@ class BigramGraph:
             outs[i].append(tokens[j])
         for i, j, _ in entries:
             ins[j].append(tokens[i])
-        # _succ is published last, so a reader that finds it set finds
-        # both maps complete; one that finds it unset builds its own
-        self._pred = {tokens[v]: tuple(ns) for v, ns in enumerate(ins) if ns}
-        self._succ = {tokens[v]: tuple(ns) for v, ns in enumerate(outs) if ns}
+        return ({tokens[v]: tuple(ns) for v, ns in enumerate(outs) if ns},
+                {tokens[v]: tuple(ns) for v, ns in enumerate(ins) if ns})
 
-    def _indexed(self) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
-        """The integer index ``(tokens, arcs)``, built on the first call.
+    @cached_property
+    @gc_paused
+    def _index(self) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+        """The integer index ``(tokens, arcs)``.
 
         ``tokens`` is the sorted node tuple, so index order is token order
         and every lexicographic tie-break reads the same on indices.
         ``arcs[i]`` lists the ascending successor indices of ``tokens[i]``
         and then its ascending predecessor indices: ``arcs`` on indices.
         """
-        index = self._index
-        if index is None:
-            index = self._build_index()
-        return index
-
-    @gc_paused
-    def _build_index(self) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
-        """Build and publish the index from the canonical lists."""
         tokens, entries = self._tokens, self._entries
         # one int object per index for every arc to share: a parsed file
         # holds a separate int for each number in its edge entries
@@ -149,10 +145,7 @@ class BigramGraph:
             arcs[j].append(ids[i])
         for i, ns in enumerate(arcs):
             arcs[i] = tuple(ns)  # each list is freed as its tuple is made
-        # one assignment publishes the whole index; a reader that finds it
-        # unset builds its own, to the same tuples
-        index = self._index = (tuple(tokens), tuple(arcs))
-        return index
+        return tuple(tokens), tuple(arcs)
 
     def _induced(self, nodes: frozenset) -> BigramGraph:
         """The subgraph ``nodes`` induces, its entries re-indexed from this graph's.
@@ -179,17 +172,11 @@ class BigramGraph:
         """Total number of bi-gram occurrences (sum of edge weights)."""
         return sum(w for _, _, w in self._entries)
 
-    # Each query tests the slot instead of using __getattr__: a class that
-    # defines __getattr__ loses the interpreter's fast slot reads.
     def successors(self, token: str) -> tuple[str, ...]:
-        if self._succ is None:
-            self._adjacency()
-        return self._succ.get(token, ())
+        return self._adjacency[0].get(token, ())
 
     def predecessors(self, token: str) -> tuple[str, ...]:
-        if self._succ is None:
-            self._adjacency()
-        return self._pred.get(token, ())
+        return self._adjacency[1].get(token, ())
 
     def arcs(self, token: str) -> tuple[str, ...]:
         """Successors then predecessors: one entry per distinct edge end.
@@ -202,9 +189,8 @@ class BigramGraph:
 
     def degree(self, token: str) -> int:
         """Unweighted total degree: the length of ``arcs(token)``."""
-        if self._succ is None:
-            self._adjacency()
-        return len(self._succ.get(token, ())) + len(self._pred.get(token, ()))
+        succ, pred = self._adjacency
+        return len(succ.get(token, ())) + len(pred.get(token, ()))
 
     def has_edge(self, src: str, dst: str) -> bool:
         return (src, dst) in self.edges
@@ -217,10 +203,12 @@ class BigramGraph:
         """Canonical on-disk bytes: sorted nodes, index-based edges sorted by index pair."""
         return canonical_json_bytes(_payload(self.source_id, self._tokens, self._entries))
 
+    @cached_property
+    def _hash(self) -> str:
+        return sha256_hex(self.canonical_bytes())
+
     def content_hash(self) -> str:
-        """SHA-256 of the canonical bytes, computed at most once per graph."""
-        if self._hash is None:
-            self._hash = sha256_hex(self.canonical_bytes())
+        """SHA-256 of the canonical bytes, computed once per graph."""
         return self._hash
 
     def __eq__(self, other) -> bool:

@@ -60,7 +60,7 @@ def core_decomposition(g: BigramGraph) -> CoreDecomposition:
     buckets in token order only makes the traversal deterministic, and
     ``core_number`` lists the nodes in removal order.
     """
-    tokens, arcs = g._indexed()
+    tokens, arcs = g._index
     if not tokens:
         return CoreDecomposition({}, 0)
     degrees = list(map(len, arcs))
@@ -86,7 +86,7 @@ def core_decomposition(g: BigramGraph) -> CoreDecomposition:
 def _weak_components(nodes: frozenset[str], g: BigramGraph) -> list[list[str]]:
     """Weakly connected components of the subgraph ``nodes`` induces, each led
     by its smallest token, in the order of those tokens."""
-    tokens, arcs = g._indexed()
+    tokens, arcs = g._index
     unseen = [t in nodes for t in tokens]
     components = []
     for start, fresh in enumerate(unseen):

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import functools
 import gzip
 import hashlib
 import importlib
@@ -7,6 +8,7 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -165,31 +167,27 @@ def graph_work(monkeypatch):
     string adjacency builds alone, of string edge maps built from a graph's
     lists, and of graph dumps (for a hash or canonical bytes)."""
     counts = {"adjacency": 0, "strings": 0, "maps": 0, "dump": 0}
-    build_adjacency = BigramGraph._adjacency
-    build_index = BigramGraph._build_index
-    read_edges = BigramGraph.edges.fget
     dump = graph_module.canonical_json_bytes
 
-    def counting_adjacency(self):
-        counts["adjacency"] += 1
-        counts["strings"] += 1
-        build_adjacency(self)
+    def counting(name, *keys):
+        build = vars(BigramGraph)[name].func  # runs on a graph's first read only
 
-    def counting_index(self):
-        counts["adjacency"] += 1
-        return build_index(self)
+        def count(self):
+            for key in keys:
+                counts[key] += 1
+            return build(self)
 
-    def counting_edges(self):
-        counts["maps"] += self._edges is None  # the first read builds the map
-        return read_edges(self)
+        wrapper = functools.cached_property(count)
+        wrapper.__set_name__(BigramGraph, name)
+        monkeypatch.setattr(BigramGraph, name, wrapper)
 
     def counting_dump(obj):
         counts["dump"] += 1
         return dump(obj)
 
-    monkeypatch.setattr(BigramGraph, "_adjacency", counting_adjacency)
-    monkeypatch.setattr(BigramGraph, "_build_index", counting_index)
-    monkeypatch.setattr(BigramGraph, "edges", property(counting_edges))
+    counting("_adjacency", "adjacency", "strings")
+    counting("_index", "adjacency")
+    counting("edges", "maps")
     monkeypatch.setattr(graph_module, "canonical_json_bytes", counting_dump)
     return counts
 
@@ -319,6 +317,20 @@ def test_build_manifest_records_cache_outcome(tmp_path, pizza_file, monkeypatch)
     assert run("build", pizza_file, "-o", tmp_path / "uncached.json") == 0
     outcomes.append(_cache_outcome(tmp_path / "uncached.json"))
     assert outcomes == ["miss", "hit", "miss", "miss", None]
+
+
+def test_cache_entries_of_one_corpus_are_byte_identical(tmp_path, pizza_file, monkeypatch):
+    entries = []
+    for clock in (1_000_000_000.0, 1_700_000_000.0):  # gzip stamps the current time
+        monkeypatch.setattr(gzip.time, "time", lambda: clock)
+        cache = tmp_path / f"cache-{clock:.0f}"
+        monkeypatch.setenv("CHROMAGRAPH_CACHE_DIR", str(cache))
+        output = tmp_path / f"{clock:.0f}.json"
+        assert run("build", pizza_file, "-o", output) == 0
+        assert _cache_outcome(output) == "miss"
+        [entry] = cache.glob("graph-*.json.gz")
+        entries.append(entry.read_bytes())
+    assert entries[0] == entries[1]
 
 
 def test_build_cache_key_ignores_text_field_of_plain_corpus(tmp_path, pizza_file, monkeypatch):
@@ -784,6 +796,20 @@ def test_each_command_takes_exactly_the_flags_it_reads():
              for name, sub in commands.items()}
     assert flags == CLI_FLAGS
     assert sum(map(len, flags.values())) == 56
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    ingest = re.search(r"The ingest flags are (.*?)\.\n", readme, re.S).group(1)
+    ingest = OUTPUT | set(re.findall(r"`(--[\w-]+)`", ingest))
+    table = readme.split("| command | flags besides `-o/--output` |\n|---|---|\n")[1]
+    documented = {}
+    for row in table.split("\n\n")[0].splitlines():
+        commands, flags = row.strip("|").split("|")
+        named = set(re.findall(r"`(--[\w-]+)", flags))
+        for command in re.findall(r"`(\w+)`", commands):
+            documented[command] = (ingest if "ingest flags" in flags else OUTPUT) | named
+    assert documented == CLI_FLAGS
 
 
 @pytest.mark.parametrize("argv, flag", [

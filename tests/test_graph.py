@@ -1,6 +1,5 @@
 import gc
 import hashlib
-import inspect
 import json
 import random
 import re
@@ -285,7 +284,8 @@ def test_adjacency_read_keeps_the_loaded_lists(sms_graph, tmp_path):
     tokens, entries = loaded._tokens, loaded._entries
     loaded.successors(min(loaded.nodes))
     # the adjacency is read from the lists: no map is built, nothing is released
-    assert loaded._tokens is tokens and loaded._entries is entries and loaded._edges is None
+    assert loaded._tokens is tokens and loaded._entries is entries
+    assert "edges" not in vars(loaded)
     assert loaded.content_hash() == SMS_GRAPH_HASH
     assert observe(loaded, hash_first=False) == observe(sms_graph, hash_first=False)
 
@@ -379,27 +379,6 @@ def test_concurrent_first_reads_see_the_serial_adjacency(sms_graph, tmp_path):
         assert not any(t.is_alive() for t in threads)
         assert all(result == serial for result in results)
         assert gc.isenabled()  # every thread's collector pause has ended
-
-
-def test_adjacency_is_published_predecessors_first(pizza_graph):
-    # a reader that finds _succ set reads _pred without building: check at
-    # every line boundary of _adjacency that _pred is never missing then
-    g = BigramGraph(pizza_graph.nodes, pizza_graph.edges)
-    torn = []
-
-    def check(frame, event, arg):
-        if g._succ is not None and g._pred is None:
-            torn.append(frame.f_lineno)
-        return check
-
-    build = inspect.unwrap(BigramGraph._adjacency).__code__  # the body, not the GC pause
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: check if frame.f_code is build else None)
-    try:
-        assert g.successors("i") == ("love", "usually")
-    finally:
-        sys.settrace(previous)
-    assert torn == []
 
 
 def test_non_canonical_file_loads_and_hashes_canonically(pizza_graph, tmp_path):
@@ -525,11 +504,11 @@ def test_payload_check_agrees_with_the_entry_by_entry_check(payload):
         payload["edges"])  # a valid payload's nodes and (i, j) pairs are distinct
     # a canonical payload's lists are the graph's storage; the others are sorted once
     assert (g._tokens is payload["nodes"] and g._entries is payload["edges"]) == canonical
-    assert g._edges is None
+    assert "edges" not in vars(g)
     # the derived forms first, so a canonical payload's are read from its own lists
     assert g.edge_count == want.edge_count
     assert g.content_hash() == want.content_hash()
-    assert g._indexed() == want._indexed()
+    assert g._index == want._index
     assert list(g.edges.items()) == sorted(expected.items())  # token order, on every route
     assert g == want
     assert observe(g, hash_first=True) == observe(want, hash_first=True)
@@ -553,6 +532,16 @@ def test_constructor_enforces_invariants():
         BigramGraph({"a"}, {("a", "b"): 1})
     with pytest.raises(SchemaError):
         BigramGraph({"a", "b"}, {("a", "b"): 0})
+
+
+@pytest.mark.parametrize("nodes, edges, source_id", [
+    ({1, 2}, {(1, 2): 1}, ""),
+    ({1, "a"}, {}, ""),
+    ({"a"}, {}, 5),
+], ids=["int_nodes", "mixed_nodes", "int_source_id"])
+def test_constructor_accepts_only_what_a_graph_file_can_hold(nodes, edges, source_id):
+    with pytest.raises(SchemaError):
+        BigramGraph(nodes, edges, source_id)
 
 
 def test_degree_view_pizza(pizza_graph):
@@ -599,15 +588,15 @@ def test_no_other_module_reads_the_graphs_storage():
     # integer index and the re-index behind extract_kcore
     private = {name for name in dir(BigramGraph)
                if name.startswith("_") and not name.startswith("__")}
-    assert {"_tokens", "_entries", "_edges", "_succ", "_pred", "_index", "_hash"} <= private
+    assert {"_tokens", "_entries", "_adjacency", "_index", "_hash"} <= private
     package = Path(graph_module.__file__).parent
     read = {}
     for path in sorted(package.glob("*.py")):
         if path.name != "graph.py":
             names = set(re.findall(r"\.(_\w+)", path.read_text(encoding="utf-8")))
             read[path.name] = sorted(names & private)
-    assert read.pop("coloring.py") == ["_indexed"]
-    assert read.pop("kcore.py") == ["_indexed", "_induced"]
+    assert read.pop("coloring.py") == ["_index"]
+    assert read.pop("kcore.py") == ["_index", "_induced"]
     assert all(names == [] for names in read.values()), read
 
 
