@@ -119,18 +119,23 @@ def check_version(payload, expected: int, name: str, kind: str) -> None:
         raise SchemaError(f"{name}: unsupported {kind} schema version {version!r}")
 
 
-@gc_paused
-def read_json(path):
-    """Parse a JSON artifact file as UTF-8.
+def parse_json_bytes(data: bytes, name):
+    """Parse JSON artifact bytes as UTF-8.
 
-    Undecodable bytes and malformed JSON raise SchemaError naming the path.
+    Undecodable bytes and malformed JSON raise SchemaError naming ``name``.
     """
     try:
-        return parse_json(Path(path).read_text(encoding="utf-8"))
+        return parse_json(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not valid UTF-8: {exc.reason}") from exc
+        raise SchemaError(f"{name}: not valid UTF-8: {exc.reason}") from exc
     except ValueError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+        raise SchemaError(f"{name}: not valid JSON: {exc}") from exc
+
+
+@gc_paused
+def read_json(path):
+    """Parse a JSON artifact file as UTF-8, as ``parse_json_bytes`` does."""
+    return parse_json_bytes(Path(path).read_bytes(), path)
 
 
 def sha256_hex(data: bytes) -> str:

@@ -33,8 +33,8 @@ import time
 import zlib
 from pathlib import Path
 
-from ._files import (SchemaError, atomic_write_bytes, canonical_json_bytes, gc_paused,
-                     parse_json, sha256_file, sha256_hex)
+from ._files import (SchemaError, atomic_write_bytes, canonical_json_bytes, parse_json,
+                     sha256_file, sha256_hex)
 from .baselines import (bow_predict, bow_train, cosine, evaluate_predictions, jaccard,
                         pearson, tfidf_centroid, tfidf_fit)
 from .coloring import (ColoringMismatchError, STRATEGIES, _agreement_matrix, _check_pair,
@@ -42,7 +42,7 @@ from .coloring import (ColoringMismatchError, STRATEGIES, _agreement_matrix, _ch
                        similarity_matrix, tag_distribution_by_color)
 from .corpus import (Corpus, CorpusFormatError, FORMATS, IngestConfig, fields_read, load_corpus,
                      load_labeled_corpus, read_stopwords, read_utf8)
-from .graph import BigramGraph, build_graph, graph_from_payload, load_graph
+from .graph import BigramGraph, build_graph, graph_from_bytes, load_graph
 from .kcore import KCoreError, core_decomposition, core_report, extract_kcore, reduce_corpus
 from .walker import PROTOCOLS, WalkerConfig, WalkerError, generate
 
@@ -179,11 +179,10 @@ def _build_graph_cached(path, format: str, config: IngestConfig,
     return graph, data, "miss"
 
 
-@gc_paused
 def _read_cache_entry(cache_path) -> tuple[bytes, BigramGraph]:
     """A cache entry's decompressed bytes and the graph they hold."""
     data = gzip.decompress(cache_path.read_bytes())
-    return data, graph_from_payload(parse_json(data.decode("utf-8")), str(cache_path))
+    return data, graph_from_bytes(data, str(cache_path))
 
 
 def _cmd_build(args):

@@ -9,6 +9,10 @@ split on whitespace, and stopwords are dropped last.
 Text inputs are UTF-8 with universal newlines; a leading byte-order
 mark is ignored. The record readers take the field names a load reads
 (``fields_read``) and return one tuple of values per record.
+
+One corpus load holds one string object per distinct token: every
+occurrence of a token, in every document of the load, is that object.
+``tokenize`` on its own makes new strings.
 """
 
 from __future__ import annotations
@@ -107,13 +111,17 @@ def tokenize(text: str, config: IngestConfig = IngestConfig()) -> Document:
     "pizza,when" yields two tokens instead of fusing into one. Total
     function: any input produces a (possibly empty) document.
     """
+    return Document(tuple(_words(text, config)))
+
+
+def _words(text: str, config: IngestConfig) -> list[str]:
     cleaned = text.translate(_space_table(config.punctuation))
     if config.lowercase:
         cleaned = cleaned.lower()
     words = cleaned.split()
     if config.stopwords:
         words = [w for w in words if w not in config.stopwords]
-    return Document(tuple(words))
+    return words
 
 
 def read_stopwords(path) -> frozenset[str]:
@@ -156,7 +164,9 @@ def load_labeled_corpus(path, format: str = "csv", config: IngestConfig | None =
 def _load(path, format, config, source_id, labeled) -> tuple[Corpus, tuple[str, ...]]:
     config = config or IngestConfig()
     records = _read_records(path, format, tuple(fields_read(config, format, labeled).values()))
-    docs = tuple(tokenize(record[0], config) for record in records)
+    share = {}.setdefault  # each token's first string stands for all its occurrences
+    docs = tuple(Document(tuple(map(share, words, words)))
+                 for words in (_words(record[0], config) for record in records))
     labels = tuple(record[1] for record in records) if labeled else ()
     sid = source_id if source_id is not None else Path(path).name
     return Corpus(docs, sid), labels

@@ -12,18 +12,22 @@ then use the trusted construction ``BigramGraph._trusted``, which
 ``build_graph``, ``merge`` and the k-core re-index (``_induced``) call
 directly because their input cannot fail the checks.
 
-A graph stores its edges once, for life, as the canonical lists of its
-graph file: the sorted tokens and the ``(i, j, w)`` entries, strictly
-ascending by ``(i, j)``. A loaded canonical file hands over its own
-lists, ``extract_kcore`` re-indexes its parent's entries, and every
-other construction sorts once. Everything else is a ``cached_property``
-computed from the lists on first read and stored once per graph: the
-string map ``edges``, the successor and predecessor maps, the integer
-index that coloring and peeling use, and the content hash, which dumps
-the lists. On Python 3.10 and 3.11 its lock serializes racing first
+A graph stores its edges once, for life, as the columns of its graph
+file: the sorted tokens and three parallel lists, the source indices,
+the target indices and the weights of the ``[i, j, w]`` entries,
+strictly ascending by ``(i, j)``. Every index in the two index columns
+is one shared ``int`` object per node. A loaded canonical file hands
+over its tokens and is split into columns, ``extract_kcore`` re-indexes
+its parent's columns, and every other construction sorts once.
+Everything else is a ``cached_property`` computed from the lists on
+first read and stored once per graph: the string map ``edges``, the
+successor and predecessor maps, the integer index that coloring and
+peeling use, and the content hash, which dumps the lists, or is the
+SHA-256 of the bytes of a loaded file that already spells them
+canonically. On Python 3.10 and 3.11 its lock serializes racing first
 reads; from 3.12 racing readers may each compute a form, all equal.
 Because tokens ascend and entries strictly ascend, index order is token
-order, and one pass over the entries meets each node's successors, and
+order, and one pass over the columns meets each node's successors, and
 in a second pass its predecessors, in ascending order: no derived form
 sorts.
 """
@@ -32,11 +36,12 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import chain, pairwise
-from operator import lt
+from itertools import chain, compress, pairwise, repeat
+from operator import floordiv, itemgetter, lt, mod
+from pathlib import Path
 
 from ._files import (SchemaError, atomic_write_bytes, canonical_json_bytes, check_version,
-                     gc_paused, read_json, sha256_hex)
+                     gc_paused, parse_json_bytes, sha256_hex)
 from .corpus import Corpus
 
 GRAPH_SCHEMA_VERSION = 1
@@ -48,12 +53,24 @@ def _payload(source_id: str, nodes: list, edges: list) -> dict:
             "edges": edges}
 
 
-def _sorted_lists(nodes, edges: dict) -> tuple[list, list]:
-    """The canonical lists of ``nodes`` and the edge map ``edges``: the one sort."""
+def _sorted_lists(nodes, edges: dict) -> tuple[list, list, list, list]:
+    """The canonical lists of ``nodes`` and the edge map ``edges``: the one sort.
+
+    Each pair ``(i, j)`` sorts as the int ``i * n + j``, which orders as the
+    pair does, and an int sort runs in C; the keys split back into the
+    shared index ints.
+    """
     tokens = sorted(nodes)
-    index = {token: i for i, token in enumerate(tokens)}
-    # tuples sort faster than lists, and json.dumps writes both as arrays
-    return tokens, sorted((index[s], index[d], w) for (s, d), w in edges.items())
+    n = len(tokens)
+    ids = list(range(n))
+    index = dict(zip(tokens, ids))
+    weight_of = {index[s] * n + index[d]: w for (s, d), w in edges.items()}
+    keys = sorted(weight_of)
+    weights = list(map(weight_of.__getitem__, keys))
+    del weight_of  # freed before the index columns are made: a lower peak
+    at = ids.__getitem__
+    return (tokens, list(map(at, map(floordiv, keys, repeat(n)))),
+            list(map(at, map(mod, keys, repeat(n)))), weights)
 
 
 class BigramGraph:
@@ -66,9 +83,9 @@ class BigramGraph:
     ``source_id`` are strings, as a file load does, and raises SchemaError.
     """
 
-    # _tokens and _entries are the canonical lists, the only edge storage;
-    # __dict__ holds the cached forms derived from them
-    __slots__ = ("nodes", "source_id", "_tokens", "_entries", "__dict__")
+    # _tokens and the columns _src, _dst and _weights are the canonical lists,
+    # the only edge storage; __dict__ holds the cached forms derived from them
+    __slots__ = ("nodes", "source_id", "_tokens", "_src", "_dst", "_weights", "__dict__")
 
     def __init__(self, nodes=(), edges=None, source_id: str = ""):
         edges = dict(edges) if edges else {}
@@ -86,40 +103,43 @@ class BigramGraph:
         self._setup(nodes, source_id, *_sorted_lists(nodes, edges))
 
     @classmethod
-    def _trusted(cls, nodes: frozenset, source_id: str, tokens: list, entries: list
-                 ) -> BigramGraph:
+    def _trusted(cls, nodes: frozenset, source_id: str, tokens: list, src: list, dst: list,
+                 weights: list) -> BigramGraph:
         """The graph over ``nodes`` with the canonical lists as given: no checks, no copies.
 
         The caller guarantees the class invariants, that ``tokens`` is
-        ``nodes`` sorted and that ``entries`` strictly ascend, and hands
-        over lists it no longer mutates.
+        ``nodes`` sorted, that the ``(src[k], dst[k])`` pairs strictly
+        ascend and that equal indices are one int object, and hands over
+        lists it no longer mutates.
         """
         graph = cls.__new__(cls)
-        graph._setup(nodes, source_id, tokens, entries)
+        graph._setup(nodes, source_id, tokens, src, dst, weights)
         return graph
 
-    def _setup(self, nodes, source_id, tokens, entries) -> None:
+    def _setup(self, nodes, source_id, tokens, src, dst, weights) -> None:
         self.nodes = nodes
         self.source_id = source_id
         self._tokens = tokens
-        self._entries = entries
+        self._src = src
+        self._dst = dst
+        self._weights = weights
 
     @cached_property
     def edges(self) -> dict[tuple[str, str], int]:
         """The edge map ``(src, dst) -> weight`` in token order."""
-        tokens = self._tokens
-        return {(tokens[i], tokens[j]): w for i, j, w in self._entries}
+        at = self._tokens.__getitem__
+        return dict(zip(zip(map(at, self._src), map(at, self._dst)), self._weights))
 
     @cached_property
     @gc_paused
     def _adjacency(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
         """The successor and predecessor maps ``(succ, pred)``."""
-        tokens, entries = self._tokens, self._entries
+        tokens, src, dst = self._tokens, self._src, self._dst
         outs: list[list[str]] = [[] for _ in tokens]
         ins: list[list[str]] = [[] for _ in tokens]
-        for i, j, _ in entries:
+        for i, j in zip(src, dst):
             outs[i].append(tokens[j])
-        for i, j, _ in entries:
+        for i, j in zip(src, dst):
             ins[j].append(tokens[i])
         return ({tokens[v]: tuple(ns) for v, ns in enumerate(outs) if ns},
                 {tokens[v]: tuple(ns) for v, ns in enumerate(ins) if ns})
@@ -134,31 +154,32 @@ class BigramGraph:
         ``arcs[i]`` lists the ascending successor indices of ``tokens[i]``
         and then its ascending predecessor indices: ``arcs`` on indices.
         """
-        tokens, entries = self._tokens, self._entries
-        # one int object per index for every arc to share: a parsed file
-        # holds a separate int for each number in its edge entries
-        ids = list(range(len(tokens)))
+        tokens, src, dst = self._tokens, self._src, self._dst
+        # the arcs share the columns' int objects, one per index
         arcs: list = [[] for _ in tokens]
-        for i, j, _ in entries:
-            arcs[i].append(ids[j])
-        for i, j, _ in entries:
-            arcs[j].append(ids[i])
+        for i, j in zip(src, dst):
+            arcs[i].append(j)
+        for i, j in zip(src, dst):
+            arcs[j].append(i)
         for i, ns in enumerate(arcs):
             arcs[i] = tuple(ns)  # each list is freed as its tuple is made
         return tuple(tokens), tuple(arcs)
 
     def _induced(self, nodes: frozenset) -> BigramGraph:
-        """The subgraph ``nodes`` induces, its entries re-indexed from this graph's.
+        """The subgraph ``nodes`` induces, its columns re-indexed from this graph's.
 
         A token's rank among ``nodes`` grows with its index here, so the
         re-indexed entries still strictly ascend: nothing is sorted.
         """
         tokens = [t for t in self._tokens if t in nodes]
-        rank = {t: r for r, t in enumerate(tokens)}
-        ranks = [rank.get(t) for t in self._tokens]
-        entries = [(ranks[i], ranks[j], w) for i, j, w in self._entries
-                   if ranks[i] is not None and ranks[j] is not None]
-        return BigramGraph._trusted(nodes, self.source_id, tokens, entries)
+        rank = dict(zip(tokens, range(len(tokens))))
+        ranks = list(map(rank.get, self._tokens))  # None for a token not in ``nodes``
+        src = list(map(ranks.__getitem__, self._src))
+        dst = list(map(ranks.__getitem__, self._dst))
+        kept = [i is not None and j is not None for i, j in zip(src, dst)]
+        return BigramGraph._trusted(nodes, self.source_id, tokens, list(compress(src, kept)),
+                                    list(compress(dst, kept)),
+                                    list(compress(self._weights, kept)))
 
     @property
     def node_count(self) -> int:
@@ -166,11 +187,11 @@ class BigramGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._entries)
+        return len(self._weights)
 
     def bigram_total(self) -> int:
         """Total number of bi-gram occurrences (sum of edge weights)."""
-        return sum(w for _, _, w in self._entries)
+        return sum(self._weights)
 
     def successors(self, token: str) -> tuple[str, ...]:
         return self._adjacency[0].get(token, ())
@@ -201,7 +222,9 @@ class BigramGraph:
 
     def canonical_bytes(self) -> bytes:
         """Canonical on-disk bytes: sorted nodes, index-based edges sorted by index pair."""
-        return canonical_json_bytes(_payload(self.source_id, self._tokens, self._entries))
+        # tuples dump as arrays, as the rows of the file
+        rows = list(zip(self._src, self._dst, self._weights))
+        return canonical_json_bytes(_payload(self.source_id, self._tokens, rows))
 
     @cached_property
     def _hash(self) -> str:
@@ -269,7 +292,35 @@ def load_graph(path) -> BigramGraph:
     malformed structure, dangling edge endpoints, duplicate edges, or
     invalid weights.
     """
-    return graph_from_payload(read_json(path), str(path))
+    return graph_from_bytes(Path(path).read_bytes(), str(path))
+
+
+# After the head, the canonical bytes are the edge array, made only of
+# these characters, then the object's end and a newline. JSON allows no
+# leading zero, so an array of non-negative integer triples spelled with
+# no other character is spelled compactly, the one canonical way.
+_EDGE_ARRAY_BYTES = b"0123456789,[]"
+
+
+@gc_paused
+def graph_from_bytes(data: bytes, name: str = "<bytes>") -> BigramGraph:
+    """The graph a graph file's bytes hold, as ``graph_from_payload`` checks it.
+
+    When the payload is canonical and ``data`` spells it as ``save_graph``
+    would (everything before the edges dumps to the same bytes, and the
+    edges use only digits, commas and brackets), ``data`` are the graph's
+    canonical bytes, and its content hash is theirs: no dump.
+    """
+    payload = parse_json_bytes(data, name)
+    graph = graph_from_payload(payload, name)
+    canonical = graph._tokens is payload["nodes"]  # the canonical route keeps the nodes list
+    del payload  # the parsed rows go before the spelling is tested: a lower peak
+    if canonical:
+        head = canonical_json_bytes(_payload(graph.source_id, graph._tokens, []))[:-4]
+        if (data.startswith(head) and data.endswith(b"}\n")
+                and not data[len(head):-2].translate(None, _EDGE_ARRAY_BYTES)):
+            graph._hash = sha256_hex(data)
+    return graph
 
 
 def _canonical_entries(edges: list, count: int) -> bool:
@@ -295,9 +346,10 @@ def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
 
     A payload in canonical order (nodes strictly ascending, edge entries
     strictly ascending by ``(src, dst)``), as every file ``save_graph``
-    writes is, is checked in one pass that builds nothing, and its
-    ``nodes`` and ``edges`` lists become the graph's edge storage. The
-    caller hands those lists over and no longer mutates them, as with
+    writes is, is checked in one pass that builds nothing; its ``nodes``
+    list becomes the graph's tokens, and its ``edges`` rows are split
+    into the graph's columns and no longer referenced. The caller hands
+    ``nodes`` over and no longer mutates it, as with
     ``BigramGraph._trusted``. Any other payload, valid or not, is
     checked entry by entry as it builds a string map, so each error is
     the first one that pass meets, and a valid one is then sorted.
@@ -317,7 +369,11 @@ def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
         raise SchemaError(f"{name}: 'source_id' must be a string")
     count = len(nodes)
     if all(map(lt, nodes, nodes[1:])) and _canonical_entries(edges, count):
-        return BigramGraph._trusted(node_set, source_id, nodes, edges)
+        at = list(range(count)).__getitem__  # one shared int per index
+        return BigramGraph._trusted(node_set, source_id, nodes,
+                                    list(map(at, map(itemgetter(0), edges))),
+                                    list(map(at, map(itemgetter(1), edges))),
+                                    list(map(itemgetter(2), edges)))
     edge_map: dict[tuple[str, str], int] = {}
     for entry in edges:
         if not isinstance(entry, list) or len(entry) != 3:

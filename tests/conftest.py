@@ -1,9 +1,12 @@
-"""Shared fixtures: the pizza corpus, desk corpora, the SMS graph, random graphs, JSON values."""
+"""Shared fixtures: the pizza corpus, desk corpora, the SMS graph, random graphs, JSON values,
+and a tracemalloc probe."""
 
 from __future__ import annotations
 
 import json
 import random
+import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -86,6 +89,40 @@ def shuffled_payload(g: BigramGraph, rng: random.Random) -> dict:
     edges = [[moved[old[s]], moved[old[d]], w] for s, d, w in payload["edges"]]
     rng.shuffle(edges)
     return {**payload, "nodes": nodes, "edges": edges}
+
+
+# Edits of a graph file's canonical bytes that keep its graph but not its
+# spelling: each file still loads, but its bytes are not the canonical ones.
+# They are written for a pizza graph, whose first node is "a" and whose
+# first edge starts at index 0.
+NEAR_CANONICAL = {
+    "space_in_head": lambda data: data.replace(b'"edges":', b'"edges": '),
+    "space_in_edges": lambda data: data.replace(b"],[", b"], [", 1),
+    "escaped_token": lambda data: data.replace(b'"a"', b'"\\u0061"', 1),
+    "reordered_keys": lambda data: re.sub(rb'^\{"version":1,("source_id":"[^"]*"),',
+                                          rb'{\1,"version":1,', data),
+    "extra_key_first": lambda data: b'{"extra":0,' + data[1:],
+    "extra_key_last": lambda data: data[:-2] + b',"extra":0}\n',
+    "minus_zero": lambda data: data.replace(b'"edges":[[0,', b'"edges":[[-0,'),
+    "no_trailing_newline": lambda data: data[:-1],
+    "crlf": lambda data: data[:-1] + b"\r\n",
+    "two_newlines": lambda data: data + b"\n",
+}
+
+
+def traced(fn, *args):
+    """``fn(*args)`` under tracemalloc: ``(result, retained, peak)``, in bytes.
+
+    ``retained`` is what the call allocated and left alive (the result
+    included), and ``peak`` the most it held at once.
+    """
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, retained, peak
 
 
 def neighbor_sets(g: BigramGraph) -> dict[str, set[str]]:

@@ -11,7 +11,6 @@ import pkgutil
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -23,7 +22,7 @@ from chromagraph._files import canonical_json_bytes, parse_json
 from chromagraph.coloring import coloring_payload
 from chromagraph.cli import _cache_key, build_parser, main
 
-from conftest import PIZZA_LINES
+from conftest import NEAR_CANONICAL, PIZZA_LINES, traced
 
 
 @pytest.fixture()
@@ -165,8 +164,9 @@ def test_build_cache_entry_written_at_level_6_is_a_hit(tmp_path, pizza_file, mon
 def graph_work(monkeypatch):
     """Live counts of adjacency builds (string adjacency or integer index), of
     string adjacency builds alone, of string edge maps built from a graph's
-    lists, and of graph dumps (for a hash or canonical bytes)."""
-    counts = {"adjacency": 0, "strings": 0, "maps": 0, "dump": 0}
+    columns, of graph dumps (for a hash or canonical bytes), and of dumps of
+    a loaded file's head (everything but the edges, to test its spelling)."""
+    counts = {"adjacency": 0, "strings": 0, "maps": 0, "dump": 0, "head": 0}
     dump = graph_module.canonical_json_bytes
 
     def counting(name, *keys):
@@ -182,7 +182,7 @@ def graph_work(monkeypatch):
         monkeypatch.setattr(BigramGraph, name, wrapper)
 
     def counting_dump(obj):
-        counts["dump"] += 1
+        counts["dump" if obj["edges"] else "head"] += 1  # no graph here is without edges
         return dump(obj)
 
     counting("_adjacency", "adjacency", "strings")
@@ -196,20 +196,22 @@ def test_commands_build_adjacency_and_hash_only_when_read(tmp_path, pizza_file, 
                                                           graph_work):
     monkeypatch.setenv("CHROMAGRAPH_CACHE_DIR", str(tmp_path / "cache"))
     g, c = tmp_path / "g.json", tmp_path / "c.json"
-    # no command builds a string edge map: each reads the graph's lists
+    # no command builds a string edge map: each reads the graph's columns
     steps = [
-        (["build", pizza_file, "-o", g], {"adjacency": 0, "strings": 0, "maps": 0, "dump": 1}),
+        (["build", pizza_file, "-o", g],
+         {"adjacency": 0, "strings": 0, "maps": 0, "dump": 1, "head": 0}),
+        # every graph file read below is canonical: its hash is its bytes', not a dump's
         (["build", pizza_file, "-o", tmp_path / "hit.json"],
-         {"adjacency": 0, "strings": 0, "maps": 0, "dump": 1}),
+         {"adjacency": 0, "strings": 0, "maps": 0, "dump": 0, "head": 1}),
         # color and kcore run on the integer index alone
-        (["color", g, "-o", c], {"adjacency": 1, "strings": 0, "maps": 0, "dump": 1}),
+        (["color", g, "-o", c], {"adjacency": 1, "strings": 0, "maps": 0, "dump": 0, "head": 1}),
         (["kcore", g, "--max", "-o", tmp_path / "core.json"],
-         {"adjacency": 1, "strings": 0, "maps": 0, "dump": 0}),
+         {"adjacency": 1, "strings": 0, "maps": 0, "dump": 0, "head": 1}),
         (["psi", "--pair", g, c, "--pair", g, c, "-o", tmp_path / "psi.csv"],
-         {"adjacency": 0, "strings": 0, "maps": 0, "dump": 2}),
+         {"adjacency": 0, "strings": 0, "maps": 0, "dump": 0, "head": 2}),
     ]
     for argv, expected in steps:
-        graph_work.update(adjacency=0, strings=0, maps=0, dump=0)
+        graph_work.update(adjacency=0, strings=0, maps=0, dump=0, head=0)
         assert run(*argv) == 0
         assert graph_work == expected, argv[0]
     assert _cache_outcome(tmp_path / "hit.json") == "hit"
@@ -234,12 +236,9 @@ def test_color_on_a_canonical_file_sorts_nothing(sms_graph, tmp_path, monkeypatc
 def traced_peak(argv) -> int:
     """The tracemalloc peak of one CLI run, after a first run that imports and fills caches."""
     assert run(*argv) == 0
-    tracemalloc.start()
-    try:
-        assert run(*argv) == 0
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, _, peak = traced(run, *argv)
+    assert code == 0
+    return peak
 
 
 def test_kcore_on_the_sms_graph_file_peaks_below_its_old_peak(sms_graph, tmp_path):
@@ -301,6 +300,24 @@ def test_build_corrupt_cache_entry_is_a_miss(tmp_path, pizza_file, monkeypatch, 
 
 def _cache_outcome(output):
     return json.loads(Path(str(output) + ".manifest.json").read_text())["options"]["cache"]
+
+
+@pytest.mark.parametrize("edit", NEAR_CANONICAL.values(), ids=NEAR_CANONICAL.keys())
+def test_build_near_canonical_cache_entry_is_a_miss(tmp_path, pizza_file, monkeypatch, edit):
+    # the entry holds the right graph, but its bytes are not the canonical ones
+    plain = build_pizza(tmp_path, pizza_file)
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("CHROMAGRAPH_CACHE_DIR", str(cache))
+    assert run("build", pizza_file, "-o", tmp_path / "first.json") == 0
+    [entry] = cache.glob("graph-*.json.gz")
+    edited = edit(plain.read_bytes())
+    assert edited != plain.read_bytes()
+    entry.write_bytes(gzip.compress(edited))
+    rebuilt = tmp_path / "rebuilt.json"
+    assert run("build", pizza_file, "-o", rebuilt) == 0
+    assert _cache_outcome(rebuilt) == "miss"
+    assert rebuilt.read_bytes() == plain.read_bytes()
+    assert gzip.decompress(entry.read_bytes()) == plain.read_bytes()
 
 
 def test_build_manifest_records_cache_outcome(tmp_path, pizza_file, monkeypatch):

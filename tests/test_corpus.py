@@ -12,7 +12,7 @@ from chromagraph import Corpus, CorpusFormatError, Document, IngestConfig, load_
 from chromagraph._files import parse_json
 from chromagraph.corpus import FORMATS, fields_read, read_utf8
 
-from conftest import DATA_DIR, PIZZA_LINES
+from conftest import DATA_DIR, PIZZA_LINES, traced
 
 
 def test_tokenize_basic():
@@ -430,3 +430,37 @@ def test_corpus_helpers():
     assert corpus.vocabulary() == frozenset({"a", "b"})
     assert corpus.token_count() == 3
     assert len(corpus) == 2
+
+
+def distinct_strings(corpus: Corpus) -> int:
+    return len({id(token) for doc in corpus.docs for token in doc.tokens})
+
+
+@pytest.mark.parametrize("format", FORMATS)
+def test_a_load_holds_one_string_per_distinct_token(tmp_path, format):
+    lines = [*PIZZA_LINES, *PIZZA_LINES, "Pizza pizza PIZZA a A"]
+    path = tmp_path / f"docs.{format}"
+    if format == "plain":
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    elif format == "jsonl":
+        path.write_text("".join(json.dumps({"text": line}) + "\n" for line in lines),
+                        encoding="utf-8")
+    else:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["text"])
+            writer.writerows([line] for line in lines)
+    corpus = load_corpus(path, format)
+    assert [doc.tokens for doc in corpus.docs] == [tokenize(line).tokens for line in lines]
+    assert distinct_strings(corpus) == len(corpus.vocabulary()) < corpus.token_count()
+
+
+def test_the_sms_corpus_retains_under_its_old_size():
+    config = IngestConfig(stopwords=read_stopwords(DATA_DIR / "stopwords-en.txt"))
+    path = DATA_DIR / "sms-spam.csv"
+    load_corpus(path, "csv", config)  # imports and fills the punctuation table's cache
+    corpus, retained, _ = traced(load_corpus, path, "csv", config)
+    assert corpus.token_count() == 58341
+    assert distinct_strings(corpus) == len(corpus.vocabulary())
+    # 3.68 MiB with one string per occurrence; 1.4 MiB with one per distinct token
+    assert retained < 2.0 * 2 ** 20

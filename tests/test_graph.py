@@ -12,15 +12,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chromagraph import BigramGraph, Corpus, Document, SchemaError, build_graph, color_graph, \
-    load_graph, merge, save_graph
+from chromagraph import BigramGraph, Corpus, Document, IngestConfig, SchemaError, build_graph, \
+    color_graph, load_corpus, load_graph, merge, read_stopwords, save_graph
 from chromagraph import graph as graph_module
 from chromagraph._files import canonical_json_bytes
 from chromagraph.coloring import STRATEGIES
-from chromagraph.graph import graph_from_payload
+from chromagraph.graph import graph_from_bytes, graph_from_payload
 from chromagraph.kcore import core_decomposition, extract_kcore
 
-from conftest import json_values, make_pizza_corpus, random_graph, shuffled_payload
+from conftest import (DATA_DIR, NEAR_CANONICAL, json_values, make_pizza_corpus, random_graph,
+                      shuffled_payload, traced)
 
 
 documents = st.lists(
@@ -277,14 +278,42 @@ def test_every_construction_route_agrees_on_sms_graph(sms_graph, tmp_path):
     assert_routes_agree(sms_graph, tmp_path / "sms.json")
 
 
+def storage(g: BigramGraph) -> tuple:
+    """The graph's edge storage: its tokens and its three columns."""
+    return g._tokens, g._src, g._dst, g._weights
+
+
+def transposed(rows) -> list[list]:
+    """The columns of ``[i, j, w]`` rows."""
+    return [[row[k] for row in rows] for k in range(3)]
+
+
+def assert_holds_the_rows_as_columns(g: BigramGraph, payload: dict) -> None:
+    """``g`` keeps the payload's ``nodes`` list, holds its edge rows as columns
+    that share one int per index, and holds no parsed row."""
+    assert g._tokens is payload["nodes"]
+    assert list(storage(g)[1:]) == transposed(payload["edges"])
+    assert_shares_one_int_per_index(g)
+    assert not any(held is payload["edges"] for held in gc.get_referents(g))
+    assert all(type(value) is int for column in storage(g)[1:] for value in column)
+
+
+def assert_shares_one_int_per_index(g: BigramGraph) -> None:
+    assert len({id(i) for i in g._src + g._dst}) == len(set(g._src + g._dst))
+
+
 def test_adjacency_read_keeps_the_loaded_lists(sms_graph, tmp_path):
     path = tmp_path / "sms.json"
     save_graph(sms_graph, path)
     loaded = load_graph(path)
-    tokens, entries = loaded._tokens, loaded._entries
+    kept = storage(loaded)
     loaded.successors(min(loaded.nodes))
-    # the adjacency is read from the lists: no map is built, nothing is released
-    assert loaded._tokens is tokens and loaded._entries is entries
+    # the adjacency is read from the columns: no map is built, nothing is released
+    assert all(now is then for now, then in zip(storage(loaded), kept))
+    file = json.loads(path.read_bytes())
+    assert loaded._tokens == file["nodes"]
+    assert list(storage(loaded)[1:]) == transposed(file["edges"])
+    assert_shares_one_int_per_index(loaded)  # so no int, nor any row, of the parse is held
     assert "edges" not in vars(loaded)
     assert loaded.content_hash() == SMS_GRAPH_HASH
     assert observe(loaded, hash_first=False) == observe(sms_graph, hash_first=False)
@@ -297,7 +326,8 @@ def test_a_loaded_files_lists_are_its_edges_for_life(sms_graph, tmp_path):
     want = color_graph(sms_graph)
     for reads_map_first in (False, True):
         loaded = graph_from_payload(payload)
-        assert loaded._tokens is payload["nodes"] and loaded._entries is payload["edges"]
+        kept = storage(loaded)
+        assert_holds_the_rows_as_columns(loaded, payload)
         if reads_map_first:
             assert loaded.edges == sms_graph.edges
         assert loaded.content_hash() == SMS_GRAPH_HASH
@@ -306,8 +336,9 @@ def test_a_loaded_files_lists_are_its_edges_for_life(sms_graph, tmp_path):
         assert core_decomposition(loaded) == core_decomposition(sms_graph)
         assert loaded.edges == sms_graph.edges
         assert loaded.successors("call") == sms_graph.successors("call")
-        # every derived form exists, and the file's lists are still the storage
-        assert loaded._tokens is payload["nodes"] and loaded._entries is payload["edges"]
+        # every derived form exists, and the same lists are still the storage
+        assert all(now is then for now, then in zip(storage(loaded), kept))
+        assert_holds_the_rows_as_columns(loaded, payload)
         assert loaded.canonical_bytes() == path.read_bytes()
 
 
@@ -502,8 +533,12 @@ def test_payload_check_agrees_with_the_entry_by_entry_check(payload):
     g = graph_from_payload(payload, "g.json")
     canonical = payload["nodes"] == sorted(payload["nodes"]) and payload["edges"] == sorted(
         payload["edges"])  # a valid payload's nodes and (i, j) pairs are distinct
-    # a canonical payload's lists are the graph's storage; the others are sorted once
-    assert (g._tokens is payload["nodes"] and g._entries is payload["edges"]) == canonical
+    # a canonical payload's nodes are the graph's tokens and its rows its columns;
+    # the others are sorted once
+    assert (g._tokens is payload["nodes"]) == canonical
+    if canonical:
+        assert_holds_the_rows_as_columns(g, payload)
+    assert_shares_one_int_per_index(g)
     assert "edges" not in vars(g)
     # the derived forms first, so a canonical payload's are read from its own lists
     assert g.edge_count == want.edge_count
@@ -585,10 +620,10 @@ def test_successors_sorted(pizza_graph):
 
 def test_no_other_module_reads_the_graphs_storage():
     # outside graph.py, a graph's private members are read only through the
-    # integer index and the re-index behind extract_kcore
+    # integer index and the re-index behind extract_kcore: no module reads the columns
     private = {name for name in dir(BigramGraph)
                if name.startswith("_") and not name.startswith("__")}
-    assert {"_tokens", "_entries", "_adjacency", "_index", "_hash"} <= private
+    assert {"_tokens", "_src", "_dst", "_weights", "_adjacency", "_index", "_hash"} <= private
     package = Path(graph_module.__file__).parent
     read = {}
     for path in sorted(package.glob("*.py")):
@@ -607,3 +642,129 @@ def test_bigram_graph_public_surface():
         "successors", "predecessors", "arcs", "degree", "has_edge", "weight",
         "canonical_bytes", "content_hash",
     }
+
+
+def row_sorted_lists(nodes, edges: dict) -> tuple[list, list]:
+    """The canonical lists as a graph stored them before its columns: the sorted
+    tokens and one sort of the ``(i, j, w)`` rows. The reference the columns are
+    held to."""
+    tokens = sorted(nodes)
+    index = {token: i for i, token in enumerate(tokens)}
+    return tokens, sorted((index[s], index[d], w) for (s, d), w in edges.items())
+
+
+def assert_stored_as_the_row_sort(g: BigramGraph, nodes, edges: dict) -> None:
+    tokens, rows = row_sorted_lists(nodes, edges)
+    assert g._tokens == tokens
+    assert list(storage(g)[1:]) == transposed(rows)
+    assert_shares_one_int_per_index(g)
+    assert g.canonical_bytes() == canonical_json_bytes(
+        {"version": 1, "source_id": g.source_id, "nodes": tokens, "edges": rows})
+
+
+@st.composite
+def graphs_and_subsets(draw):
+    """Nodes, an edge map over them, and a subset of the nodes."""
+    nodes = draw(st.sets(st.text(max_size=3), max_size=10))
+    ordered = sorted(nodes)
+    edges = draw(st.dictionaries(st.tuples(st.sampled_from(ordered), st.sampled_from(ordered)),
+                                 st.integers(1, 4), max_size=25)) if nodes else {}
+    subset = draw(st.sets(st.sampled_from(ordered))) if nodes else set()
+    return nodes, edges, subset
+
+
+@given(graphs_and_subsets(), st.randoms(use_true_random=False))
+def test_every_route_stores_the_row_sort_as_columns(drawn, rng):
+    nodes, edges, subset = drawn
+    g = BigramGraph(nodes, edges, "s")
+    items = list(edges.items())
+    half = len(items) // 2
+    made = {
+        "constructor": g,
+        "build_graph": build_graph(corpus_of(g)),
+        "merge": merge(BigramGraph(nodes, dict(items[:half]), "s"),
+                       BigramGraph(nodes, dict(items[half:]), "s")),
+        "canonical_payload": graph_from_payload(json.loads(g.canonical_bytes())),
+        "shuffled_payload": graph_from_payload(shuffled_payload(g, rng)),
+    }
+    for graph in made.values():
+        assert_stored_as_the_row_sort(graph, nodes, edges)
+    induced = {(a, b): w for (a, b), w in edges.items() if a in subset and b in subset}
+    for graph in made.values():
+        assert_stored_as_the_row_sort(graph._induced(frozenset(subset)), subset, induced)
+
+
+def hash_routes(g: BigramGraph, path) -> dict:
+    """``construction_routes`` and the two routes a graph's bytes take: a graph
+    file's bytes, and the re-index behind ``extract_kcore``."""
+    routes = construction_routes(g, path)
+    data = g.canonical_bytes()
+    first_half = frozenset(sorted(g.nodes)[:len(g.nodes) // 2])
+    routes["graph_from_bytes"] = lambda: graph_from_bytes(data)
+    routes["induced"] = lambda: g._induced(first_half)
+    routes["induced_of_a_load"] = lambda: load_graph(path)._induced(first_half)
+    return routes
+
+
+def test_hash_is_the_dumped_hash_on_every_route(sms_graph, tmp_path):
+    rng = random.Random(13)
+    graphs = [random_graph(rng, 30, source_id=f"r{i}") for i in range(20)]
+    for g in [sms_graph, *graphs, BigramGraph(source_id="empty")]:
+        for name, make in hash_routes(g, tmp_path / "g.json").items():
+            made = make()
+            dumped = hashlib.sha256(made.canonical_bytes()).hexdigest()
+            assert made.content_hash() == dumped, name
+            assert_shares_one_int_per_index(made)
+
+
+def test_a_canonical_file_is_hashed_from_its_bytes(sms_graph, tmp_path, monkeypatch):
+    path = tmp_path / "sms.json"
+    save_graph(sms_graph, path)
+    dumps = []
+    dump = graph_module.canonical_json_bytes
+
+    def counting_dump(payload):
+        dumps.append(len(payload["edges"]))
+        return dump(payload)
+
+    monkeypatch.setattr(graph_module, "canonical_json_bytes", counting_dump)
+    for loaded in (load_graph(path), graph_from_bytes(path.read_bytes())):
+        assert vars(loaded)["_hash"] == SMS_GRAPH_HASH  # on the load, from the bytes
+        assert loaded.content_hash() == SMS_GRAPH_HASH
+    assert dumps == [0, 0]  # each load dumped only the head, to compare its spelling
+
+
+@pytest.mark.parametrize("edit", NEAR_CANONICAL.values(), ids=NEAR_CANONICAL.keys())
+def test_a_near_canonical_file_is_hashed_from_its_dump(pizza_graph, tmp_path, edit):
+    path = tmp_path / "near.json"
+    edited = edit(pizza_graph.canonical_bytes())
+    assert edited != pizza_graph.canonical_bytes()
+    path.write_bytes(edited)
+    loaded = load_graph(path)
+    assert loaded == pizza_graph
+    assert "_hash" not in vars(loaded)
+    assert loaded.content_hash() == pizza_graph.content_hash()
+    assert loaded.content_hash() != hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def sms_corpus():
+    config = IngestConfig(stopwords=read_stopwords(DATA_DIR / "stopwords-en.txt"))
+    return load_corpus(DATA_DIR / "sms-spam.csv", "csv", config)
+
+
+def test_a_built_sms_graph_retains_under_its_old_size():
+    corpus = sms_corpus()
+    graph, retained, _ = traced(build_graph, corpus)
+    assert graph.content_hash() == SMS_GRAPH_HASH
+    # 3.40 MiB with one (i, j, w) tuple per edge; 1.8 MiB in columns
+    assert retained < 2.5 * 2 ** 20
+
+
+def test_a_loaded_sms_graph_file_retains_under_its_old_size(sms_graph, tmp_path):
+    path = tmp_path / "sms.json"
+    save_graph(sms_graph, path)
+    load_graph(path)  # imports and caches nothing on a second load
+    graph, retained, _ = traced(load_graph, path)
+    assert graph.content_hash() == SMS_GRAPH_HASH
+    # 6.26 MiB holding the parsed [i, j, w] rows; 2.2 MiB in columns
+    assert retained < 3.0 * 2 ** 20

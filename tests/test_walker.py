@@ -2,7 +2,6 @@ import math
 import random
 import sys
 import time
-import tracemalloc
 from heapq import heappop, heappush
 from itertools import pairwise
 
@@ -12,7 +11,7 @@ from chromagraph import BigramGraph, ColoringMismatchError, PathFinder, WalkerCo
     WalkerError, color_graph, find_path, generate, path_density, sample_color_plan
 from chromagraph.walker import PROTOCOLS
 
-from conftest import random_graph
+from conftest import random_graph, traced
 
 
 # -- oracle -------------------------------------------------------------------
@@ -256,12 +255,7 @@ def test_stats_count_a_hand_checked_query(pizza_graph):
 def test_find_memory_does_not_grow_with_unused_hops(pizza_graph):
     expected = find_path(pizza_graph, "i", "pizza", max_hops=12)  # builds the adjacency too
     finder = PathFinder(pizza_graph, "min_weight", 10 ** 6)
-    tracemalloc.start()
-    try:
-        path = finder.find("i", "pizza")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    path, _, peak = traced(finder.find, "i", "pizza")
     assert path == expected
     assert peak < 64 * 1024  # a reverse pass run to max_hops keeps ~8 MB of layer ends
 
