@@ -48,9 +48,9 @@ def canonical_json_bytes(payload) -> bytes:
     the result is byte-identical, so artifacts are diff-able and hashable.
     A NaN or infinite float raises ValueError: RFC 8259 JSON has neither.
     The circular-reference check is off: every payload is built inside
-    the package and none refers to itself, and the check's bookkeeping
-    per list and dict is about a quarter of the time a graph payload
-    takes to dump.
+    the package and none refers to itself, and on SMS the check's
+    bookkeeping per list and dict costs about 5% of the time the vector
+    lines of ``embed`` and ``project`` take to dump, and 3% of a coloring's.
     """
     text = json.dumps(payload, ensure_ascii=False, separators=(",", ":"), allow_nan=False,
                       check_circular=False)

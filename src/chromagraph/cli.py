@@ -154,6 +154,7 @@ def _build_graph_cached(path, format: str, config: IngestConfig,
     """
     cache_dir = os.environ.get(CACHE_ENV)
     cache_path = None
+    source_id = Path(path).name if source_id is None else source_id  # as load_corpus names it
     if cache_dir:
         key = _cache_key(Path(path).read_bytes(), format, source_id, config)
         cache_path = Path(cache_dir) / f"graph-{key}.json.gz"

@@ -18,7 +18,9 @@ the target indices and the weights of the ``[i, j, w]`` entries,
 strictly ascending by ``(i, j)``. Every index in the two index columns
 is one shared ``int`` object per node. A loaded canonical file hands
 over its tokens and is split into columns, ``extract_kcore`` re-indexes
-its parent's columns, and every other construction sorts once.
+its parent's columns, and every other construction sorts once. One loop
+checks every entry of a loaded file, and ``_head`` spells the canonical
+bytes before the entries, which a dump writes straight from the columns.
 Everything else is a ``cached_property`` computed from the lists on
 first read and stored once per graph: the string map ``edges``, the
 successor and predecessor maps, the integer index that coloring and
@@ -37,7 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from itertools import chain, compress, pairwise, repeat
-from operator import floordiv, itemgetter, lt, mod
+from operator import floordiv, itemgetter, length_hint, lt, mod
 from pathlib import Path
 
 from ._files import (SchemaError, atomic_write_bytes, canonical_json_bytes, check_version,
@@ -47,10 +49,10 @@ from .corpus import Corpus
 GRAPH_SCHEMA_VERSION = 1
 
 
-def _payload(source_id: str, nodes: list, edges: list) -> dict:
-    """The graph file's schema object, its keys in file order."""
-    return {"version": GRAPH_SCHEMA_VERSION, "source_id": source_id, "nodes": nodes,
-            "edges": edges}
+def _head(source_id: str, tokens: list) -> bytes:
+    """A graph file's canonical bytes before its edge entries, which ``]}\\n`` follows."""
+    return canonical_json_bytes({"version": GRAPH_SCHEMA_VERSION, "source_id": source_id,
+                                 "nodes": tokens, "edges": []}).removesuffix(b"]}\n")
 
 
 def _sorted_lists(nodes, edges: dict) -> tuple[list, list, list, list]:
@@ -222,9 +224,9 @@ class BigramGraph:
 
     def canonical_bytes(self) -> bytes:
         """Canonical on-disk bytes: sorted nodes, index-based edges sorted by index pair."""
-        # tuples dump as arrays, as the rows of the file
-        rows = list(zip(self._src, self._dst, self._weights))
-        return canonical_json_bytes(_payload(self.source_id, self._tokens, rows))
+        # spelled straight from the columns: a tuple per edge for json.dumps doubled the peak
+        entries = ",".join(map("[{},{},{}]".format, self._src, self._dst, self._weights))
+        return _head(self.source_id, self._tokens) + entries.encode() + b"]}\n"
 
     @cached_property
     def _hash(self) -> str:
@@ -295,10 +297,10 @@ def load_graph(path) -> BigramGraph:
     return graph_from_bytes(Path(path).read_bytes(), str(path))
 
 
-# After the head, the canonical bytes are the edge array, made only of
-# these characters, then the object's end and a newline. JSON allows no
-# leading zero, so an array of non-negative integer triples spelled with
-# no other character is spelled compactly, the one canonical way.
+# After the head, the canonical bytes are the edge entries and the array's
+# end, made only of these characters, then the object's end and a newline.
+# JSON allows no leading zero, so an array of non-negative integer triples
+# spelled with no other character is spelled compactly, the one canonical way.
 _EDGE_ARRAY_BYTES = b"0123456789,[]"
 
 
@@ -307,52 +309,37 @@ def graph_from_bytes(data: bytes, name: str = "<bytes>") -> BigramGraph:
     """The graph a graph file's bytes hold, as ``graph_from_payload`` checks it.
 
     When the payload is canonical and ``data`` spells it as ``save_graph``
-    would (everything before the edges dumps to the same bytes, and the
-    edges use only digits, commas and brackets), ``data`` are the graph's
-    canonical bytes, and its content hash is theirs: no dump.
+    would (``data`` starts with the graph's ``_head``, and the edges use
+    only digits, commas and brackets), ``data`` are the graph's canonical
+    bytes, and its content hash is theirs: no dump.
     """
     payload = parse_json_bytes(data, name)
     graph = graph_from_payload(payload, name)
     canonical = graph._tokens is payload["nodes"]  # the canonical route keeps the nodes list
     del payload  # the parsed rows go before the spelling is tested: a lower peak
     if canonical:
-        head = canonical_json_bytes(_payload(graph.source_id, graph._tokens, []))[:-4]
+        head = _head(graph.source_id, graph._tokens)
         if (data.startswith(head) and data.endswith(b"}\n")
                 and not data[len(head):-2].translate(None, _EDGE_ARRAY_BYTES)):
             graph._hash = sha256_hex(data)
     return graph
 
 
-def _canonical_entries(edges: list, count: int) -> bool:
-    """Whether every entry is a valid ``[i, j, w]`` and the ``(i, j)`` pairs strictly ascend.
-
-    Strict ascent rules out duplicate edges. The loop allocates nothing.
-    """
-    last_i = last_j = -1
-    for entry in edges:
-        if type(entry) is not list or len(entry) != 3:
-            return False
-        i, j, w = entry
-        if not (type(i) is type(j) is type(w) is int and 0 <= i < count and 0 <= j < count
-                and w > 0 and (i > last_i or i == last_i and j > last_j)):
-            return False
-        last_i, last_j = i, j
-    return True
-
-
 @gc_paused
 def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
     """Validate a parsed graph payload and construct the graph.
 
-    A payload in canonical order (nodes strictly ascending, edge entries
-    strictly ascending by ``(src, dst)``), as every file ``save_graph``
-    writes is, is checked in one pass that builds nothing; its ``nodes``
-    list becomes the graph's tokens, and its ``edges`` rows are split
-    into the graph's columns and no longer referenced. The caller hands
-    ``nodes`` over and no longer mutates it, as with
-    ``BigramGraph._trusted``. Any other payload, valid or not, is
-    checked entry by entry as it builds a string map, so each error is
-    the first one that pass meets, and a valid one is then sorted.
+    One loop checks the edge entries in file order and raises the first
+    error it meets; an entry's checks run in this order: its shape, its
+    ints, its index range, a repeated ``(i, j)``, its weight. While the
+    entries strictly ascend by ``(i, j)`` none can repeat, and each valid
+    entry passes one combined test; where ascent first breaks, the loop
+    starts keeping the pairs met. A payload in canonical order (nodes
+    strictly ascending too), as every file ``save_graph`` writes is, hands
+    its ``nodes`` list over as the graph's tokens, and its ``edges`` rows
+    are split into the graph's columns and no longer referenced. The
+    caller no longer mutates ``nodes``, as with ``BigramGraph._trusted``.
+    Any other valid payload is sorted once.
     """
     check_version(payload, GRAPH_SCHEMA_VERSION, name, "graph")
     nodes = payload.get("nodes")
@@ -368,25 +355,35 @@ def graph_from_payload(payload, name: str = "<payload>") -> BigramGraph:
     if not isinstance(source_id, str):
         raise SchemaError(f"{name}: 'source_id' must be a string")
     count = len(nodes)
-    if all(map(lt, nodes, nodes[1:])) and _canonical_entries(edges, count):
+    seen = None  # the (i, j) pairs met so far, kept once their ascent breaks
+    last_i = last_j = -1
+    entries = iter(edges)
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise SchemaError(f"{name}: edge entry {entry!r} is not [src, dst, weight]")
+        i, j, w = entry
+        if (type(i) is type(j) is type(w) is int and 0 <= i < count and 0 <= j < count
+                and w > 0 and (i > last_i or i == last_i and j > last_j)):
+            last_i, last_j = i, j  # a valid entry, still in strict ascent
+            continue
+        if not (type(i) is type(j) is type(w) is int):  # JSON true/false parse as bool
+            raise SchemaError(f"{name}: edge entry {entry!r} is not [src, dst, weight]")
+        if not (0 <= i < count and 0 <= j < count):
+            raise SchemaError(f"{name}: edge {entry!r} references an absent node")
+        if not (i > last_i or i == last_i and j > last_j):  # out of ascent: it may repeat a pair
+            if seen is None:  # ascent breaks at this entry: keep the pairs of those before it
+                seen = {(e[0], e[1]) for e in edges[:len(edges) - length_hint(entries) - 1]}
+                last_i = count  # no later entry ascends, so each one is checked here
+            if (i, j) in seen:
+                raise SchemaError(f"{name}: duplicate edge {(nodes[i], nodes[j])!r}")
+            seen.add((i, j))
+        if w < 1:
+            raise SchemaError(f"{name}: edge {entry!r} has non-positive weight")
+    if seen is None and all(map(lt, nodes, nodes[1:])):
         at = list(range(count)).__getitem__  # one shared int per index
         return BigramGraph._trusted(node_set, source_id, nodes,
                                     list(map(at, map(itemgetter(0), edges))),
                                     list(map(at, map(itemgetter(1), edges))),
                                     list(map(itemgetter(2), edges)))
-    edge_map: dict[tuple[str, str], int] = {}
-    for entry in edges:
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise SchemaError(f"{name}: edge entry {entry!r} is not [src, dst, weight]")
-        si, di, weight = entry
-        if not (type(si) is type(di) is type(weight) is int):  # JSON true/false parse as bool
-            raise SchemaError(f"{name}: edge entry {entry!r} is not [src, dst, weight]")
-        if not (0 <= si < count and 0 <= di < count):
-            raise SchemaError(f"{name}: edge {entry!r} references an absent node")
-        key = (nodes[si], nodes[di])
-        if key in edge_map:
-            raise SchemaError(f"{name}: duplicate edge {key!r}")
-        if weight < 1:
-            raise SchemaError(f"{name}: edge {entry!r} has non-positive weight")
-        edge_map[key] = weight
+    edge_map = {(nodes[i], nodes[j]): w for i, j, w in edges}
     return BigramGraph._trusted(node_set, source_id, *_sorted_lists(node_set, edge_map))

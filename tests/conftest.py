@@ -3,6 +3,7 @@ and a tracemalloc probe."""
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import re
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from chromagraph import (BigramGraph, Corpus, IngestConfig, build_graph, load_corpus,
                          read_stopwords, tokenize)
+from chromagraph import graph as graph_module
 
 settings.register_profile("ci", deadline=None, max_examples=60)
 settings.load_profile("ci")
@@ -123,6 +125,44 @@ def traced(fn, *args):
     finally:
         tracemalloc.stop()
     return result, retained, peak
+
+
+@pytest.fixture()
+def graph_work(monkeypatch):
+    """Live counts of adjacency builds (string adjacency or integer index), of
+    string adjacency builds alone, of string edge maps built from a graph's
+    columns, of graph dumps (for a hash or canonical bytes), and of dumps of
+    a loaded file's head (everything but the edges, to test its spelling)."""
+    counts = {"adjacency": 0, "strings": 0, "maps": 0, "dump": 0, "head": 0}
+    head, dump = graph_module._head, BigramGraph.canonical_bytes
+
+    def counting(name, *keys):
+        build = vars(BigramGraph)[name].func  # runs on a graph's first read only
+
+        def count(self):
+            for key in keys:
+                counts[key] += 1
+            return build(self)
+
+        wrapper = functools.cached_property(count)
+        wrapper.__set_name__(BigramGraph, name)
+        monkeypatch.setattr(BigramGraph, name, wrapper)
+
+    def counting_head(*args):
+        counts["head"] += 1
+        return head(*args)
+
+    def counting_dump(self):
+        counts["dump"] += 1
+        counts["head"] -= 1  # a dump spells its own head, which is not a head dump
+        return dump(self)
+
+    counting("_adjacency", "adjacency", "strings")
+    counting("_index", "adjacency")
+    counting("edges", "maps")
+    monkeypatch.setattr(graph_module, "_head", counting_head)
+    monkeypatch.setattr(BigramGraph, "canonical_bytes", counting_dump)
+    return counts
 
 
 def neighbor_sets(g: BigramGraph) -> dict[str, set[str]]:

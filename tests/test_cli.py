@@ -1,6 +1,5 @@
 import argparse
 import csv
-import functools
 import gzip
 import hashlib
 import importlib
@@ -16,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import chromagraph
-from chromagraph import BigramGraph, IngestConfig, color_graph, save_coloring, save_graph
+from chromagraph import IngestConfig, color_graph, save_coloring, save_graph
 from chromagraph import graph as graph_module
 from chromagraph._files import canonical_json_bytes, parse_json
 from chromagraph.coloring import coloring_payload
@@ -158,38 +157,6 @@ def test_build_cache_entry_written_at_level_6_is_a_hit(tmp_path, pizza_file, mon
     assert run("build", pizza_file, "-o", second) == 0
     assert _cache_outcome(second) == "hit"
     assert second.read_bytes() == plain.read_bytes()
-
-
-@pytest.fixture()
-def graph_work(monkeypatch):
-    """Live counts of adjacency builds (string adjacency or integer index), of
-    string adjacency builds alone, of string edge maps built from a graph's
-    columns, of graph dumps (for a hash or canonical bytes), and of dumps of
-    a loaded file's head (everything but the edges, to test its spelling)."""
-    counts = {"adjacency": 0, "strings": 0, "maps": 0, "dump": 0, "head": 0}
-    dump = graph_module.canonical_json_bytes
-
-    def counting(name, *keys):
-        build = vars(BigramGraph)[name].func  # runs on a graph's first read only
-
-        def count(self):
-            for key in keys:
-                counts[key] += 1
-            return build(self)
-
-        wrapper = functools.cached_property(count)
-        wrapper.__set_name__(BigramGraph, name)
-        monkeypatch.setattr(BigramGraph, name, wrapper)
-
-    def counting_dump(obj):
-        counts["dump" if obj["edges"] else "head"] += 1  # no graph here is without edges
-        return dump(obj)
-
-    counting("_adjacency", "adjacency", "strings")
-    counting("_index", "adjacency")
-    counting("edges", "maps")
-    monkeypatch.setattr(graph_module, "canonical_json_bytes", counting_dump)
-    return counts
 
 
 def test_commands_build_adjacency_and_hash_only_when_read(tmp_path, pizza_file, monkeypatch,
@@ -370,6 +337,20 @@ def test_build_cache_key_reads_text_field_of_records(tmp_path, monkeypatch):
     assert run("build", src, "--format", "jsonl", "--text-field", "body", "-o", b) == 0
     assert _cache_outcome(b) == "miss"
     assert json.loads(b.read_text())["nodes"] == ["four", "three"]
+
+
+def test_build_cache_keys_the_source_id_the_build_uses(tmp_path, pizza_file, monkeypatch):
+    # with no --source-id, a graph is named after its corpus file, as is its cache entry
+    monkeypatch.setenv("CHROMAGRAPH_CACHE_DIR", str(tmp_path / "cache"))
+    twin = tmp_path / "twin.txt"
+    twin.write_bytes(pizza_file.read_bytes())
+    steps = [([pizza_file], "pizza.txt", "miss"), ([twin], "twin.txt", "miss"),
+             ([pizza_file, "--source-id", "twin.txt"], "twin.txt", "hit")]
+    for step, (args, source_id, outcome) in enumerate(steps):
+        out = tmp_path / f"{step}.json"
+        assert run("build", *args, "-o", out) == 0
+        assert json.loads(out.read_text())["source_id"] == source_id
+        assert _cache_outcome(out) == outcome
 
 
 @pytest.mark.parametrize("format, key", [

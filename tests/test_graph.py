@@ -447,12 +447,15 @@ class Index(IntEnum):
     ([[-1, 0, 1]], "edge [-1, 0, 1] references an absent node"),
     ([[0, 2, 1]], "edge [0, 2, 1] references an absent node"),
     ([[0, 1, 1], [0, 1, 2]], "duplicate edge ('a', 'b')"),
+    # ascent breaks at [0, 0]: every later entry is kept for the duplicate check
+    ([[0, 1, 1], [0, 0, 1], [1, 0, 1], [1, 0, 2]], "duplicate edge ('b', 'a')"),
     ([[0, 1, 0]], "edge [0, 1, 0] has non-positive weight"),
     # a JSON integer is an exact int; json.loads yields no other int type but bool
     ([[Index.A, 1, 1]], "edge entry [<Index.A: 0>, 1, 1] is not [src, dst, weight]"),
     ([[0, 1, Index.B]], "edge entry [0, 1, <Index.B: 1>] is not [src, dst, weight]"),
 ], ids=["non_list", "two_elements", "bool", "float", "negative_index", "index_out_of_range",
-        "duplicate", "zero_weight", "int_subclass_index", "int_subclass_weight"])
+        "duplicate", "duplicate_after_ascent_breaks", "zero_weight", "int_subclass_index",
+        "int_subclass_weight"])
 def test_malformed_edge_entry_messages(edges, message):
     payload = {"version": 1, "source_id": "", "nodes": ["a", "b"], "edges": edges}
     with pytest.raises(SchemaError) as info:
@@ -482,26 +485,32 @@ def entry_by_entry_edges(nodes: list, edges: list, name: str) -> dict:
     return edge_map
 
 
-PAYLOAD_KINDS = ("canonical", "shuffled", "duplicate", "non_strict_step", "bool_or_float",
-                 "out_of_range", "zero_weight", "not_an_entry")
+MALFORMED = ("bool_or_float", "out_of_range", "zero_weight", "not_an_entry")
+PAYLOAD_KINDS = ("canonical", "shuffled", "duplicate", "non_strict_step", *MALFORMED,
+                 "shuffled_then_duplicate", "shuffled_then_malformed")
 
 
 @st.composite
 def graph_payloads(draw):
-    """A canonical payload, a shuffled one, or one with one malformed entry or step."""
+    """A canonical payload, a shuffled one, or one with one malformed entry or step,
+    or a shuffled one, whose ascent mostly breaks early, with a later fault."""
     nodes = sorted(draw(st.sets(st.sampled_from("abcdef"), max_size=6)))
     n = len(nodes)
     pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12)
                  ) if n else set()
     edges = [[i, j, draw(st.integers(1, 3))] for i, j in sorted(pairs)]
     kind = draw(st.sampled_from(PAYLOAD_KINDS))
-    if kind == "shuffled":
+    if kind.startswith("shuffled"):
         order = draw(st.permutations(range(n)))
         nodes = [nodes[i] for i in order]
         moved = {old: new for new, old in enumerate(order)}
         edges = draw(st.permutations([[moved[i], moved[j], w] for i, j, w in edges]))
-    elif kind != "canonical" and edges:
-        k = draw(st.integers(0, len(edges) - 1))  # after an ascending prefix of k entries
+        if kind == "shuffled_then_duplicate":
+            kind = "duplicate"
+        elif kind == "shuffled_then_malformed":
+            kind = draw(st.sampled_from(MALFORMED))
+    if kind not in ("canonical", "shuffled") and edges:
+        k = draw(st.integers(0, len(edges) - 1))  # after k entries, ascending unless shuffled
         i, j, w = edges[k]
         if kind == "duplicate":
             edges.insert(k + 1, [i, j, draw(st.integers(1, 3))])
@@ -717,21 +726,15 @@ def test_hash_is_the_dumped_hash_on_every_route(sms_graph, tmp_path):
             assert_shares_one_int_per_index(made)
 
 
-def test_a_canonical_file_is_hashed_from_its_bytes(sms_graph, tmp_path, monkeypatch):
+def test_a_canonical_file_is_hashed_from_its_bytes(sms_graph, tmp_path, graph_work):
     path = tmp_path / "sms.json"
     save_graph(sms_graph, path)
-    dumps = []
-    dump = graph_module.canonical_json_bytes
-
-    def counting_dump(payload):
-        dumps.append(len(payload["edges"]))
-        return dump(payload)
-
-    monkeypatch.setattr(graph_module, "canonical_json_bytes", counting_dump)
+    graph_work.update(dump=0, head=0)
     for loaded in (load_graph(path), graph_from_bytes(path.read_bytes())):
         assert vars(loaded)["_hash"] == SMS_GRAPH_HASH  # on the load, from the bytes
         assert loaded.content_hash() == SMS_GRAPH_HASH
-    assert dumps == [0, 0]  # each load dumped only the head, to compare its spelling
+    # each load dumped only the head, to compare its spelling
+    assert (graph_work["dump"], graph_work["head"]) == (0, 2)
 
 
 @pytest.mark.parametrize("edit", NEAR_CANONICAL.values(), ids=NEAR_CANONICAL.keys())
@@ -768,3 +771,20 @@ def test_a_loaded_sms_graph_file_retains_under_its_old_size(sms_graph, tmp_path)
     assert graph.content_hash() == SMS_GRAPH_HASH
     # 6.26 MiB holding the parsed [i, j, w] rows; 2.2 MiB in columns
     assert retained < 3.0 * 2 ** 20
+
+
+def test_an_sms_graph_dumps_under_its_old_peak(sms_graph):
+    data, _, peak = traced(sms_graph.canonical_bytes)
+    assert hashlib.sha256(data).hexdigest() == SMS_GRAPH_HASH
+    # 5.75 MiB with one (i, j, w) tuple per edge; 2.9 MiB spelled from the columns
+    assert peak < 4 * 2 ** 20
+
+
+def test_an_sms_graph_file_loads_under_its_old_peak(sms_graph, tmp_path):
+    path = tmp_path / "sms.json"
+    save_graph(sms_graph, path)
+    load_graph(path)  # imports and caches nothing on a second load
+    graph, _, peak = traced(load_graph, path)
+    assert graph.content_hash() == SMS_GRAPH_HASH
+    # 8.02 MiB: the parsed [i, j, w] rows and the columns split from them
+    assert peak < 8.5 * 2 ** 20
