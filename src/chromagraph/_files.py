@@ -132,12 +132,6 @@ def parse_json_bytes(data: bytes, name):
         raise SchemaError(f"{name}: not valid JSON: {exc}") from exc
 
 
-@gc_paused
-def read_json(path):
-    """Parse a JSON artifact file as UTF-8, as ``parse_json_bytes`` does."""
-    return parse_json_bytes(Path(path).read_bytes(), path)
-
-
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 

@@ -41,25 +41,17 @@ def tfidf_fit(corpus: Corpus) -> TfidfModel:
 
 def tfidf_embed(model: TfidfModel, doc: Document) -> dict[int, float]:
     """Sparse tf*idf vector; out-of-vocabulary tokens are ignored."""
-    counts = Counter(t for t in doc.tokens if t in model.vocabulary)
-    return {model.vocabulary[t]: c * model.idf[t] for t, c in counts.items()}
+    vocabulary, idf = model.vocabulary, model.idf
+    return {vocabulary[t]: c * idf[t] for t, c in Counter(doc.tokens).items() if t in vocabulary}
 
 
 @gc_paused
 def tfidf_centroid(model: TfidfModel, corpus: Corpus) -> dict[int, float]:
-    """Mean of the per-document vectors; the corpus-level embedding.
-
-    Each document adds its ``tfidf_embed`` entries in the same order, but
-    straight from its token counts: within a document each index occurs
-    once, so every sum is the one the vectors would give.
-    """
-    vocabulary, idf = model.vocabulary, model.idf
+    """Mean of the ``tfidf_embed`` vectors; the corpus-level embedding."""
     acc: dict[int, float] = {}
     for doc in corpus.docs:
-        for t, c in Counter(doc.tokens).items():
-            if t in vocabulary:
-                i = vocabulary[t]
-                acc[i] = acc.get(i, 0.0) + c * idf[t]
+        for i, x in tfidf_embed(model, doc).items():
+            acc[i] = acc.get(i, 0.0) + x
     n = len(corpus.docs)
     return {i: x / n for i, x in acc.items()} if n else {}
 

@@ -91,8 +91,9 @@ def _read_config_file(path) -> dict:
     return payload
 
 
-def _ingest_config(args) -> tuple[IngestConfig, list]:
-    """IngestConfig of defaults, then --config entries, then flags; and the files read."""
+def _ingest(args, labeled: bool = False) -> tuple[IngestConfig, dict, list]:
+    """The IngestConfig of defaults, then --config entries, then flags; the manifest's
+    ``format`` and ``ingest`` options, whose fields are those a load reads; the files read."""
     values = _read_config_file(args.config) if args.config else {}
     stopwords = args.stopwords or values.get("stopwords")
     if stopwords is not None:
@@ -104,17 +105,15 @@ def _ingest_config(args) -> tuple[IngestConfig, list]:
     for field in ("text_field", "label_field"):
         if getattr(args, field, None):
             values[field] = getattr(args, field)
-    return IngestConfig(**values), [p for p in (args.config, stopwords) if p]
-
-
-def _config_summary(config: IngestConfig, format: str, labeled: bool = False) -> dict:
-    """The ingest settings a load of ``format`` reads: fields only where records have them."""
-    return {
+    config = IngestConfig(**values)
+    ingest = {
         "lowercase": config.lowercase,
         "stopword_count": len(config.stopwords),
         "punctuation": "".join(sorted(config.punctuation)),
-        **fields_read(config, format, labeled),
+        **fields_read(config, args.format, labeled),
     }
+    return (config, {"format": args.format, "ingest": ingest},
+            [p for p in (args.config, stopwords) if p])
 
 
 def _write_manifest(args, options: dict, inputs, outputs, t0) -> None:
@@ -159,7 +158,8 @@ def _build_graph_cached(path, format: str, config: IngestConfig,
         key = _cache_key(Path(path).read_bytes(), format, source_id, config)
         cache_path = Path(cache_dir) / f"graph-{key}.json.gz"
         try:
-            data, graph = _read_cache_entry(cache_path)
+            data = gzip.decompress(cache_path.read_bytes())
+            graph = graph_from_bytes(data, str(cache_path))
         except (OSError, EOFError, ValueError, zlib.error):
             pass  # an absent or corrupt entry is a miss: rebuild and rewrite it
         else:
@@ -180,20 +180,13 @@ def _build_graph_cached(path, format: str, config: IngestConfig,
     return graph, data, "miss"
 
 
-def _read_cache_entry(cache_path) -> tuple[bytes, BigramGraph]:
-    """A cache entry's decompressed bytes and the graph they hold."""
-    data = gzip.decompress(cache_path.read_bytes())
-    return data, graph_from_bytes(data, str(cache_path))
-
-
 def _cmd_build(args):
-    config, read = _ingest_config(args)
+    config, options, read = _ingest(args)
     graph, data, cache = _build_graph_cached(args.corpus, args.format, config, args.source_id)
     atomic_write_bytes(args.output, data)
     return {
-        "format": args.format,
+        **options,
         "source_id": graph.source_id,
-        "ingest": _config_summary(config, args.format),
         "nodes": graph.node_count,
         "edges": graph.edge_count,
         "cache": cache,
@@ -225,8 +218,9 @@ def _cmd_kcore(args):
     report = core_report(decomp, core)
     atomic_write_bytes(args.output, canonical_json_bytes(report))
     vocab_path = args.vocab_output or str(args.output) + ".vocab.txt"
-    atomic_write_bytes(vocab_path, ("\n".join(sorted(core.retained)) + "\n").encode("utf-8")
-                       if core.retained else b"")
+    retained = report["retained"]  # sorted once, by core_report
+    atomic_write_bytes(vocab_path, ("\n".join(retained) + "\n").encode("utf-8")
+                       if retained else b"")
     return {
         "k": core.k,
         "max": args.max,
@@ -277,14 +271,13 @@ def _vectors_jsonl(docs, vectors) -> bytes:
 
 def _project(args):
     """Write the corpus's vectors; the manifest options, inputs, outputs and the coverage."""
-    config, read = _ingest_config(args)
+    config, options, read = _ingest(args)
     coloring = load_coloring(args.coloring)
     corpus = load_corpus(args.corpus, args.format, config)
     result = project_coloring(coloring, corpus)
     atomic_write_bytes(args.output, _vectors_jsonl(corpus.docs, result.vectors))
     return {
-        "format": args.format,
-        "ingest": _config_summary(config, args.format),
+        **options,
         "documents": len(corpus.docs),
     }, [args.coloring, args.corpus, *read], [args.output], result.coverage
 
@@ -338,7 +331,7 @@ def _pair_vector(matrix, n):
 def _cmd_compare(args):
     if len(args.corpora) < 2:
         raise UsageError("compare needs at least two corpora")
-    config, read = _ingest_config(args)
+    config, options, read = _ingest(args)
     corpora = [load_corpus(p, args.format, config) for p in args.corpora]
     graphs = [build_graph(c) for c in corpora]
     colorings = [color_graph(g, args.strategy) for g in graphs]
@@ -375,9 +368,9 @@ def _cmd_compare(args):
     }
     atomic_write_bytes(args.output, canonical_json_bytes(report))
     return {
-        "format": args.format,
+        "format": args.format,  # its place, before "strategy": the manifest's key order holds
         "strategy": args.strategy,
-        "ingest": _config_summary(config, args.format),
+        **options,
         "corpora": len(corpora),
     }, [*args.corpora, *read], [args.output]
 
@@ -387,7 +380,7 @@ def _cmd_compare(args):
 def _cmd_classify(args):
     if not 0.0 < args.test_fraction < 1.0:
         raise UsageError("--test-fraction must be in (0, 1)")
-    config, read = _ingest_config(args)
+    config, options, read = _ingest(args, labeled=True)
     corpus, labels = load_labeled_corpus(args.corpus, args.format, config)
     n = len(corpus.docs)
     if n < 4:
@@ -407,7 +400,8 @@ def _cmd_classify(args):
             "core_nodes": core.graph.node_count,
             "core_edges": core.graph.edge_count,
             "components": core.components,
-            "retained_fraction": core.graph.node_count / graph.node_count,
+            "retained_fraction": (core.graph.node_count / graph.node_count
+                                  if graph.node_count else 0.0),
         }
 
     order = list(range(n))
@@ -433,8 +427,7 @@ def _cmd_classify(args):
     })
     atomic_write_bytes(args.output, canonical_json_bytes(report))
     return {
-        "format": args.format,
-        "ingest": _config_summary(config, args.format, labeled=True),
+        **options,
         "kcore_reduce": args.kcore_reduce,
         "test_fraction": args.test_fraction,
         "alpha": args.alpha,

@@ -16,10 +16,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from pathlib import Path
 from typing import Mapping, Sequence
 
 from ._files import (SchemaError, atomic_write_bytes, canonical_json_bytes, check_version,
-                     gc_paused, read_json)
+                     gc_paused, parse_json_bytes)
 from .corpus import Corpus, Document
 from .graph import BigramGraph
 
@@ -278,7 +279,7 @@ def save_coloring(coloring: Coloring, path) -> None:
 def load_coloring(path) -> Coloring:
     """Load a coloring file, enforcing the label-range invariants."""
     name = str(path)
-    payload = read_json(path)
+    payload = parse_json_bytes(Path(path).read_bytes(), name)
     check_version(payload, COLORING_SCHEMA_VERSION, name, "coloring")
     labels = payload.get("labels")
     num_colors = payload.get("num_colors")

@@ -237,10 +237,12 @@ class BigramGraph:
         return self._hash
 
     def __eq__(self, other) -> bool:
+        """Same ``source_id``, nodes and weighted edges: a graph's canonical lists are unique."""
         if not isinstance(other, BigramGraph):
             return NotImplemented
-        return (self.nodes == other.nodes and self.edges == other.edges
-                and self.source_id == other.source_id)
+        return (self.source_id == other.source_id and self._tokens == other._tokens
+                and self._src == other._src and self._dst == other._dst
+                and self._weights == other._weights)
 
     def __hash__(self):
         return hash(self.content_hash())

@@ -129,7 +129,7 @@ def extract_kcore(g: BigramGraph, k: int | None = None, *,
     else:
         n_components = len(components)
     core = g._induced(retained)
-    return KCoreSubgraph(k, core, retained, frozenset(g.nodes - retained), n_components)
+    return KCoreSubgraph(k, core, retained, g.nodes - retained, n_components)
 
 
 @gc_paused

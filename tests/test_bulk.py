@@ -4,6 +4,7 @@ The loop tests keep each rewritten loop's previous definition as an
 oracle and compare outputs exactly, dict order included.
 """
 
+import functools
 import gc
 import inspect
 import math
@@ -18,8 +19,9 @@ import pytest
 
 from chromagraph import (Corpus, Document, IngestConfig, SchemaError, bow_predict, bow_train,
                          build_graph, color_graph, core_decomposition, embed_text,
-                         extract_kcore, load_graph, load_labeled_corpus, project_coloring,
-                         read_stopwords, reduce_corpus, tfidf_centroid, tfidf_embed, tfidf_fit)
+                         extract_kcore, load_corpus, load_graph, load_labeled_corpus,
+                         project_coloring, read_stopwords, reduce_corpus, tfidf_centroid,
+                         tfidf_embed, tfidf_fit)
 from chromagraph import _files
 from chromagraph.baselines import BowClassifier, TfidfModel
 from chromagraph.cli import main
@@ -200,6 +202,11 @@ def old_tfidf_fit(corpus):
     return TfidfModel(vocabulary, idf, n)
 
 
+def old_tfidf_embed(model, doc):
+    counts = Counter(t for t in doc.tokens if t in model.vocabulary)
+    return {model.vocabulary[t]: c * model.idf[t] for t, c in counts.items()}
+
+
 def old_tfidf_centroid(model, corpus):
     """The mean of the ``tfidf_embed`` vectors, accumulated in document order."""
     acc = {}
@@ -261,9 +268,18 @@ def corpora(seed):
     return rng, own, foreign
 
 
-@pytest.mark.parametrize("seed", range(12))
+@functools.cache
+def sms_corpora():
+    """A third of the SMS corpus to fit on, and the whole corpus, holding tokens the third lacks."""
+    corpus = load_corpus(DATA_DIR / "sms-spam.csv", "csv")
+    own = Corpus(corpus.docs[:len(corpus.docs) // 3], "sms-third")
+    assert corpus.vocabulary() - own.vocabulary()
+    return own, corpus
+
+
+@pytest.mark.parametrize("seed", [*range(12), "sms"])
 def test_tfidf_loops_match_the_mean_of_embed_vectors(seed):
-    _, own, foreign = corpora(seed)
+    own, foreign = sms_corpora() if seed == "sms" else corpora(seed)[1:]
     model = tfidf_fit(own)
     old = old_tfidf_fit(own)
     assert list(model.vocabulary.items()) == list(old.vocabulary.items())
@@ -272,6 +288,8 @@ def test_tfidf_loops_match_the_mean_of_embed_vectors(seed):
     for corpus in (own, foreign, Corpus(()), Corpus((Document(()),))):
         assert (list(tfidf_centroid(model, corpus).items())
                 == list(old_tfidf_centroid(model, corpus).items()))
+        for doc in corpus.docs:
+            assert list(tfidf_embed(model, doc).items()) == list(old_tfidf_embed(model, doc).items())
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -694,6 +694,23 @@ def test_classify_command(tmp_path):
     assert 0 < report2["kcore"]["retained_fraction"] <= 1
 
 
+def test_classify_kcore_reduce_on_a_corpus_with_no_tokens(tmp_path):
+    src, stopwords = tmp_path / "mail.csv", tmp_path / "stop.txt"
+    src.write_text("text,label\nthe,x\na of,y\nthe the,x\nof,y\na,x\n", encoding="utf-8")
+    stopwords.write_text("the\na\nof\n", encoding="utf-8")
+    reports = []
+    for extra in ([], ["--kcore-reduce"]):
+        out = tmp_path / f"metrics{len(reports)}.json"
+        assert run("classify", src, "--format", "csv", "--stopwords", stopwords, "-o", out,
+                   *extra) == 0
+        reports.append(json.loads(out.read_text()))
+    plain, reduced = reports
+    assert reduced.pop("kcore") == {"degeneracy": 0, "k": 0, "graph_nodes": 0, "core_nodes": 0,
+                                    "core_edges": 0, "components": 0, "retained_fraction": 0.0}
+    assert plain.pop("kcore") is None
+    assert reduced == plain and plain["vocabulary_size"] == 0
+
+
 def test_classify_bad_fraction_exit_2(tmp_path):
     src = tmp_path / "mail.csv"
     src.write_text("text,label\na,x\nb,y\nc,x\nd,y\n", encoding="utf-8")

@@ -735,6 +735,20 @@ def test_a_canonical_file_is_hashed_from_its_bytes(sms_graph, tmp_path, graph_wo
         assert loaded.content_hash() == SMS_GRAPH_HASH
     # each load dumped only the head, to compare its spelling
     assert (graph_work["dump"], graph_work["head"]) == (0, 2)
+    # == reads the columns: comparing graphs of every route builds no edge map
+    made = {name: make() for name, make in hash_routes(sms_graph, tmp_path / "r.json").items()}
+    g = sms_graph
+    heavier = BigramGraph._trusted(g.nodes, g.source_id, g._tokens, g._src, g._dst,
+                                   [*g._weights[:-1], g._weights[-1] + 1])
+    renamed = BigramGraph._trusted(g.nodes, "other", g._tokens, g._src, g._dst, g._weights)
+    graph_work.update(maps=0)
+    for name, graph in made.items():
+        if name.startswith("induced"):
+            assert graph == made["induced"] and graph != g, name
+        else:
+            assert graph == g and graph != made["induced"], name
+            assert graph != heavier and graph != renamed, name
+    assert graph_work["maps"] == 0
 
 
 @pytest.mark.parametrize("edit", NEAR_CANONICAL.values(), ids=NEAR_CANONICAL.keys())
