@@ -41,7 +41,7 @@ from .coloring import (ColoringMismatchError, STRATEGIES, _agreement_matrix, _ch
                        color_graph, load_coloring, project_coloring, save_coloring,
                        similarity_matrix, tag_distribution_by_color)
 from .corpus import (Corpus, CorpusFormatError, FORMATS, IngestConfig, fields_read, load_corpus,
-                     load_labeled_corpus, read_stopwords, read_utf8)
+                     load_labeled_corpus, read_stopwords, read_utf8, split_lines)
 from .graph import BigramGraph, build_graph, graph_from_bytes, load_graph
 from .kcore import KCoreError, core_decomposition, core_report, extract_kcore, reduce_corpus
 from .walker import PROTOCOLS, WalkerConfig, WalkerError, generate
@@ -438,7 +438,7 @@ def _cmd_classify(args):
 
 def _read_annotations(path) -> dict[str, str]:
     annotations = {}
-    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(read_utf8(path)), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")

@@ -3,11 +3,12 @@
 Coloring is greedy and deterministic: nodes are visited in a fixed
 strategy order and each gets the smallest color not used by any node
 in its ``BigramGraph.arcs``, so edge direction is ignored. The pass
-runs on the graph's integer index, whose arcs follow the same
-convention, and degree is the length of a node's arcs there, as in
-``BigramGraph.degree``. Determinism is what makes labels comparable
-across graphs colored with the same strategy, which the similarity
-coefficient and cross-corpus projection rely on.
+builds the graph's integer index once, colors on its arcs, which follow
+the same convention, and checks properness on the same arcs; degree is
+the length of a node's arcs there, as in ``BigramGraph.degree``.
+Determinism is what makes labels comparable across graphs colored with
+the same strategy, which the similarity coefficient and cross-corpus
+projection rely on.
 """
 
 from __future__ import annotations
@@ -103,10 +104,15 @@ def check_properness(g: BigramGraph, labels: Mapping[str, int]) -> None:
     joining two equal-colored distinct nodes. The pass runs on the
     integer index, where each edge is an arc of both its ends.
     """
+    _check_properness(g, labels, *g._index())
+
+
+def _check_properness(g: BigramGraph, labels: Mapping[str, int], tokens: tuple[str, ...],
+                      arcs: tuple[tuple[int, ...], ...]) -> None:
+    """``check_properness`` on ``g``'s integer index ``(tokens, arcs)``, built by the caller."""
     missing = [v for v in g.nodes if v not in labels]
     if missing:
         raise ImproperColoringError(f"{len(missing)} nodes have no color, e.g. {missing[0]!r}")
-    tokens, arcs = g._index
     colors = [labels[t] for t in tokens]
     for v, ns in enumerate(arcs):
         color = colors[v]
@@ -130,7 +136,7 @@ def color_graph(g: BigramGraph, strategy: str = "degree_desc") -> Coloring:
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown coloring strategy: {strategy!r} (expected one of {STRATEGIES})")
     graph_hash = g.content_hash()
-    tokens, arcs = g._index
+    tokens, arcs = g._index()
     order = range(len(tokens))
     if strategy == "degree_desc":
         # a stable sort: equal degrees stay in index order, which is token order
@@ -145,7 +151,7 @@ def color_graph(g: BigramGraph, strategy: str = "degree_desc") -> Coloring:
         colors[v] = color
         labels[tokens[v]] = color
     num_colors = max(colors) + 1 if colors else 0
-    check_properness(g, labels)
+    _check_properness(g, labels, tokens, arcs)
     return Coloring(labels, num_colors, f"greedy-{strategy}-v1", graph_hash)
 
 

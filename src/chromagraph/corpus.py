@@ -7,8 +7,11 @@ replaced with spaces, the text is lowercased unless disabled, it is
 split on whitespace, and stopwords are dropped last.
 
 Text inputs are UTF-8 with universal newlines; a leading byte-order
-mark is ignored. The record readers take the field names a load reads
-(``fields_read``) and return one tuple of values per record.
+mark is ignored. Line-oriented inputs break lines at newlines only, so
+other characters ``str.splitlines`` breaks at (form feed, NEL, U+2028
+and the like) stay inside their line. The record readers take the field
+names a load reads (``fields_read``) and return one tuple of values per
+record.
 
 One corpus load holds one string object per distinct token: every
 occurrence of a token, in every document of the load, is that object.
@@ -24,6 +27,7 @@ import string
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 from ._files import gc_paused, parse_json
@@ -129,7 +133,7 @@ def read_stopwords(path) -> frozenset[str]:
 
     A non-UTF-8 byte raises CorpusFormatError at path:line.
     """
-    lines = read_utf8(path).splitlines()
+    lines = split_lines(read_utf8(path))
     return frozenset(w.strip() for w in lines if w.strip())
 
 
@@ -185,6 +189,15 @@ def read_utf8(path) -> str:
         raise CorpusFormatError(f"not valid UTF-8: {exc.reason}", str(path), line) from exc
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of ``read_utf8`` text, split at newlines only; a final newline ends
+    the last line and starts no empty one."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def _read_records(path, format, fields):
     """One tuple per record: the line itself for plain, else the values of ``fields``."""
     if format not in FORMATS:
@@ -194,7 +207,7 @@ def _read_records(path, format, fields):
     if format == "plain":
         if fields:
             raise CorpusFormatError("plain format carries no labels", name)
-        return [(line,) for line in text.splitlines()]
+        return [(line,) for line in split_lines(text)]
     if format == "jsonl":
         return _jsonl_records(text, fields, name)
     return _csv_records(text, fields, name)
@@ -202,7 +215,7 @@ def _read_records(path, format, fields):
 
 def _jsonl_records(text, fields, name):
     records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             continue
         try:
@@ -219,21 +232,27 @@ def _jsonl_records(text, fields, name):
 
 
 def _csv_records(text, fields, name):
+    """The rows as ``csv.DictReader`` reads them: the first row names the columns, a
+    repeated name reads its last column, and blank rows are skipped."""
     if not text.strip():
         return []
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text))
     records = []
     try:
-        columns = reader.fieldnames or []
+        column = {field: i for i, field in enumerate(next(reader, []))}  # a name's last
         for field in fields:
-            if field not in columns:
+            if field not in column:
                 raise CorpusFormatError(f"missing column {field!r}", name, 1)
+        positions = [column[field] for field in fields]
+        width = max(positions) + 1
+        at = positions[0]
+        pick = itemgetter(*positions) if len(positions) > 1 else lambda row: (row[at],)
         for row in reader:
-            record = tuple(map(row.get, fields))
-            if None in record:
+            if len(row) < width:
+                if not row:
+                    continue
                 raise CorpusFormatError("row is missing columns", name, reader.line_num)
-            records.append(record)
+            records.append(pick(row))
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        # DictReader.line_num moves only once a row parses; its inner reader's is current
-        raise CorpusFormatError(f"invalid CSV: {exc}", name, reader.reader.line_num) from exc
+        raise CorpusFormatError(f"invalid CSV: {exc}", name, reader.line_num) from exc
     return records

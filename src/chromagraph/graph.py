@@ -21,17 +21,18 @@ over its tokens and is split into columns, ``extract_kcore`` re-indexes
 its parent's columns, and every other construction sorts once. One loop
 checks every entry of a loaded file, and ``_head`` spells the canonical
 bytes before the entries, which a dump writes straight from the columns.
-Everything else is a ``cached_property`` computed from the lists on
-first read and stored once per graph: the string map ``edges``, the
-successor and predecessor maps, the integer index that coloring and
-peeling use, and the content hash, which dumps the lists, or is the
-SHA-256 of the bytes of a loaded file that already spells them
+The string map ``edges``, the successor and predecessor maps and the
+content hash are each a ``cached_property`` computed from the lists on
+first read and stored once per graph; the hash dumps the lists, or is
+the SHA-256 of the bytes of a loaded file that already spells them
 canonically. On Python 3.10 and 3.11 its lock serializes racing first
 reads; from 3.12 racing readers may each compute a form, all equal.
-Because tokens ascend and entries strictly ascend, index order is token
-order, and one pass over the columns meets each node's successors, and
-in a second pass its predecessors, in ascending order: no derived form
-sorts.
+The integer index that coloring and peeling use is built from the
+columns on each call and kept by no graph: each pass builds it once and
+drops it when the pass ends. Because tokens ascend and entries strictly
+ascend, index order is token order, and one pass over the columns meets
+each node's successors, and in a second pass its predecessors, in
+ascending order: no derived form sorts.
 """
 
 from __future__ import annotations
@@ -146,10 +147,9 @@ class BigramGraph:
         return ({tokens[v]: tuple(ns) for v, ns in enumerate(outs) if ns},
                 {tokens[v]: tuple(ns) for v, ns in enumerate(ins) if ns})
 
-    @cached_property
     @gc_paused
     def _index(self) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
-        """The integer index ``(tokens, arcs)``.
+        """The integer index ``(tokens, arcs)``, built anew on each call and not kept.
 
         ``tokens`` is the sorted node tuple, so index order is token order
         and every lexicographic tie-break reads the same on indices.

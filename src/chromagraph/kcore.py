@@ -1,8 +1,10 @@
 """K-core decomposition and vocabulary reduction.
 
 Degree is the graph's one total-degree convention, ``BigramGraph.degree``.
-Peeling and the component count run on the graph's integer index,
-where a node's degree is the length of its arcs, the same count. The
+Peeling runs on the graph's integer index, built once per pass, where a
+node's degree is the length of its arcs, the same count. Extraction
+induces the core first and counts its weak components on the core's own
+index, which is no larger than the core. The
 k-core is the maximal subgraph in which every node keeps degree >= k;
 the decomposition assigns each node the largest k whose core still
 contains it. Peeling the whole graph once gives every core number, so
@@ -60,7 +62,7 @@ def core_decomposition(g: BigramGraph) -> CoreDecomposition:
     buckets in token order only makes the traversal deterministic, and
     ``core_number`` lists the nodes in removal order.
     """
-    tokens, arcs = g._index
+    tokens, arcs = g._index()
     if not tokens:
         return CoreDecomposition({}, 0)
     degrees = list(map(len, arcs))
@@ -83,11 +85,11 @@ def core_decomposition(g: BigramGraph) -> CoreDecomposition:
     return CoreDecomposition({tokens[v]: degrees[v] for v in removed}, max(degrees))
 
 
-def _weak_components(nodes: frozenset[str], g: BigramGraph) -> list[list[str]]:
-    """Weakly connected components of the subgraph ``nodes`` induces, each led
-    by its smallest token, in the order of those tokens."""
-    tokens, arcs = g._index
-    unseen = [t in nodes for t in tokens]
+def _weak_components(g: BigramGraph) -> list[list[str]]:
+    """Weakly connected components of ``g``, each led by its smallest token,
+    in the order of those tokens."""
+    tokens, arcs = g._index()
+    unseen = [True] * len(tokens)
     components = []
     for start, fresh in enumerate(unseen):
         if not fresh:
@@ -121,14 +123,14 @@ def extract_kcore(g: BigramGraph, k: int | None = None, *,
     elif k > decomp.degeneracy:
         raise KCoreError(f"k={k} exceeds the graph degeneracy {decomp.degeneracy}")
     retained = frozenset(v for v, c in decomp.core_number.items() if c >= k)
-    components = _weak_components(retained, g)
-    if largest_component_only and components:
+    core = g._induced(retained)
+    components = _weak_components(core)
+    n_components = len(components)
+    if largest_component_only and n_components > 1:
         keep = max(components, key=lambda comp: (len(comp), comp[0]))
         retained = frozenset(keep)
+        core = core._induced(retained)
         n_components = 1
-    else:
-        n_components = len(components)
-    core = g._induced(retained)
     return KCoreSubgraph(k, core, retained, g.nodes - retained, n_components)
 
 

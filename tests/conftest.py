@@ -129,12 +129,13 @@ def traced(fn, *args):
 
 @pytest.fixture()
 def graph_work(monkeypatch):
-    """Live counts of adjacency builds (string adjacency or integer index), of
-    string adjacency builds alone, of string edge maps built from a graph's
-    columns, of graph dumps (for a hash or canonical bytes), and of dumps of
-    a loaded file's head (everything but the edges, to test its spelling)."""
+    """Live counts of adjacency builds (string adjacency, on a graph's first
+    read, or integer index, on every call), of string adjacency builds alone,
+    of string edge maps built from a graph's columns, of graph dumps (for a
+    hash or canonical bytes), and of dumps of a loaded file's head (everything
+    but the edges, to test its spelling)."""
     counts = {"adjacency": 0, "strings": 0, "maps": 0, "dump": 0, "head": 0}
-    head, dump = graph_module._head, BigramGraph.canonical_bytes
+    head, dump, index = graph_module._head, BigramGraph.canonical_bytes, BigramGraph._index
 
     def counting(name, *keys):
         build = vars(BigramGraph)[name].func  # runs on a graph's first read only
@@ -148,6 +149,10 @@ def graph_work(monkeypatch):
         wrapper.__set_name__(BigramGraph, name)
         monkeypatch.setattr(BigramGraph, name, wrapper)
 
+    def counting_index(self):
+        counts["adjacency"] += 1
+        return index(self)
+
     def counting_head(*args):
         counts["head"] += 1
         return head(*args)
@@ -158,8 +163,8 @@ def graph_work(monkeypatch):
         return dump(self)
 
     counting("_adjacency", "adjacency", "strings")
-    counting("_index", "adjacency")
     counting("edges", "maps")
+    monkeypatch.setattr(BigramGraph, "_index", counting_index)
     monkeypatch.setattr(graph_module, "_head", counting_head)
     monkeypatch.setattr(BigramGraph, "canonical_bytes", counting_dump)
     return counts

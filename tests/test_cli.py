@@ -170,10 +170,11 @@ def test_commands_build_adjacency_and_hash_only_when_read(tmp_path, pizza_file, 
         # every graph file read below is canonical: its hash is its bytes', not a dump's
         (["build", pizza_file, "-o", tmp_path / "hit.json"],
          {"adjacency": 0, "strings": 0, "maps": 0, "dump": 0, "head": 1}),
-        # color and kcore run on the integer index alone
+        # color and kcore run on integer indexes alone: color builds one, kcore
+        # the graph's to peel it and the core's to count its components
         (["color", g, "-o", c], {"adjacency": 1, "strings": 0, "maps": 0, "dump": 0, "head": 1}),
         (["kcore", g, "--max", "-o", tmp_path / "core.json"],
-         {"adjacency": 1, "strings": 0, "maps": 0, "dump": 0, "head": 1}),
+         {"adjacency": 2, "strings": 0, "maps": 0, "dump": 0, "head": 1}),
         (["psi", "--pair", g, c, "--pair", g, c, "-o", tmp_path / "psi.csv"],
          {"adjacency": 0, "strings": 0, "maps": 0, "dump": 0, "head": 2}),
     ]
@@ -750,6 +751,16 @@ def test_tagdist_annotations_bom_is_ignored(tmp_path, pizza_file):
         assert run("tagdist", coloring_path, ann, "-o", out) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_tagdist_tag_may_hold_a_line_separator(tmp_path, pizza_file):
+    _, coloring_path = color_pizza(tmp_path, pizza_file)
+    ann = tmp_path / "tags.tsv"
+    ann.write_text("pizza\tNO\x85UN\nlove\tVE\u2028RB\n", encoding="utf-8")
+    out = tmp_path / "dist.json"
+    assert run("tagdist", coloring_path, ann, "-o", out) == 0
+    tags = {tag for hist in json.loads(out.read_text())["distributions"].values() for tag in hist}
+    assert tags == {"NO\x85UN", "VE\u2028RB", "UNK"}
 
 
 def test_tagdist_bad_annotation_exit_4(tmp_path, pizza_file):

@@ -128,6 +128,13 @@ def test_load_plain_keeps_blank_documents(tmp_path):
     assert corpus.docs[1].tokens == ()
 
 
+def test_load_plain_breaks_lines_at_newline_only(tmp_path):
+    path = tmp_path / "docs.txt"
+    path.write_text("one\x0ctwo\nthree\x1cfour\u2029five\x0bsix\n", encoding="utf-8")
+    corpus = load_corpus(path, "plain")
+    assert [d.tokens for d in corpus.docs] == [("one", "two"), ("three", "four", "five", "six")]
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_corpus(tmp_path / "absent.txt", "plain")
@@ -145,6 +152,15 @@ def test_load_jsonl(tmp_path):
     path.write_text('{"text": "Hello there"}\n{"text": "Bye now"}\n', encoding="utf-8")
     corpus = load_corpus(path, "jsonl")
     assert [d.tokens for d in corpus.docs] == [("hello", "there"), ("bye", "now")]
+
+
+def test_load_jsonl_text_may_hold_a_line_separator(tmp_path):
+    # json.dumps(..., ensure_ascii=False) writes U+2028 raw, inside the string
+    path = tmp_path / "docs.jsonl"
+    path.write_text(json.dumps({"text": "a\u2028b"}, ensure_ascii=False) + "\n"
+                    + json.dumps({"text": "c\x85d"}, ensure_ascii=False) + "\n", encoding="utf-8")
+    corpus = load_corpus(path, "jsonl")
+    assert [d.tokens for d in corpus.docs] == [("a", "b"), ("c", "d")]
 
 
 def test_load_jsonl_reports_line_number(tmp_path):
@@ -303,7 +319,13 @@ def test_load_corpus_raises_only_corpus_format_error(tmp_path_factory, format, d
     assert all(isinstance(doc, Document) for doc in corpus.docs)
 
 
-# The readers before fields_read, verbatim: the oracle for the field-tuple readers.
+def _lines(text):
+    """``read_utf8`` text's lines: at ``\\n`` only, where ``str.splitlines`` breaks at more."""
+    return text.removesuffix("\n").split("\n") if text else []
+
+
+# The readers before fields_read, verbatim but for their line split (``_lines``, not
+# ``str.splitlines``): the oracle for the field-tuple readers.
 def _read_records(path, format, config, with_labels):
     if format not in FORMATS:
         raise ValueError(f"unknown corpus format: {format!r} (expected one of {FORMATS})")
@@ -312,7 +334,7 @@ def _read_records(path, format, config, with_labels):
     if format == "plain":
         if with_labels:
             raise CorpusFormatError("plain format carries no labels", name)
-        return [(line, "") for line in text.splitlines()]
+        return [(line, "") for line in _lines(text)]
     if format == "jsonl":
         return _jsonl_records(text, config, name, with_labels)
     return _csv_records(text, config, name, with_labels)
@@ -320,7 +342,7 @@ def _read_records(path, format, config, with_labels):
 
 def _jsonl_records(text, config, name, with_labels):
     records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         if not line.strip():
             continue
         try:
@@ -404,6 +426,12 @@ ORACLE_CONFIGS = [
 @example(data=b"label\na\n", config=IngestConfig())
 @example(data=b"text\na\n", config=IngestConfig(text_field="text", label_field="text"))
 @example(data=b"\xef\xbb\xbftext,label\r\na,x\r\n", config=IngestConfig())
+@example(data=b"text,label,text\na,x,b\n", config=IngestConfig())  # a repeated name's last
+@example(data=b"text,label,text\na,x,b\nc,y\n", config=IngestConfig())  # short of the last
+@example(data=b"label,text\nx\n", config=IngestConfig())  # short for text alone
+@example(data=b"text,label\na,x\n\n\nb\n", config=IngestConfig())  # short after blank rows
+@example(data=b'{"text": "a\xe2\x80\xa8b", "label": "x"}\n', config=IngestConfig())  # U+2028
+@example(data=b"one\x0ctwo\x1cthree\xc2\x85four\x0bfive\n", config=IngestConfig())
 def test_readers_match_the_with_labels_reference(tmp_path_factory, format, data, config):
     path = tmp_path_factory.mktemp("corpus") / "docs"
     path.write_bytes(data)
@@ -423,6 +451,8 @@ def test_read_stopwords(tmp_path):
     path = tmp_path / "stop.txt"
     path.write_text("the\n\n a \nof\n", encoding="utf-8")
     assert read_stopwords(path) == frozenset({"the", "a", "of"})
+    path.write_text("foo\x85bar\nof\n", encoding="utf-8")  # NEL breaks no line
+    assert read_stopwords(path) == frozenset({"foo\x85bar", "of"})
 
 
 def test_corpus_helpers():

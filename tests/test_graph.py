@@ -552,7 +552,7 @@ def test_payload_check_agrees_with_the_entry_by_entry_check(payload):
     # the derived forms first, so a canonical payload's are read from its own lists
     assert g.edge_count == want.edge_count
     assert g.content_hash() == want.content_hash()
-    assert g._index == want._index
+    assert g._index() == want._index()
     assert list(g.edges.items()) == sorted(expected.items())  # token order, on every route
     assert g == want
     assert observe(g, hash_first=True) == observe(want, hash_first=True)

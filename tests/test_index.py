@@ -187,3 +187,14 @@ def test_index_matches_string_passes_on_random_graphs(tmp_path):
 
 def test_index_matches_string_passes_on_sms_graph(sms_graph, tmp_path):
     assert_index_matches_strings(sms_graph, tmp_path / "sms.json", random.Random(3))
+
+
+def test_no_pass_keeps_an_index_on_its_graph(sms_graph):
+    # each pass builds the index it runs on and drops it: the graph keeps only its hash
+    g = BigramGraph(sms_graph.nodes, sms_graph.edges, sms_graph.source_id)
+    before = set(vars(g))
+    color_graph(g)
+    decomp = core_decomposition(g)
+    for largest in (False, True):
+        extract_kcore(g, 1, decomposition=decomp, largest_component_only=largest)
+    assert set(vars(g)) - before <= {"_hash"}

@@ -229,7 +229,7 @@ def test_core_lists_are_the_parents_reindexed(sms_graph, tmp_path, largest_compo
                                             if e[0] in retained and e[1] in retained},
                                  g.source_id)
             assert core.graph.canonical_bytes() == oracle.canonical_bytes(), (name, share)
-            assert core.graph._index == oracle._index, (name, share)
+            assert core.graph._index() == oracle._index(), (name, share)
 
 
 def test_reduce_corpus_identity(pizza_corpus, pizza_graph):
