@@ -27,7 +27,6 @@ import string
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 
 from ._files import gc_paused, parse_json
@@ -245,14 +244,13 @@ def _csv_records(text, fields, name):
                 raise CorpusFormatError(f"missing column {field!r}", name, 1)
         positions = [column[field] for field in fields]
         width = max(positions) + 1
-        at = positions[0]
-        pick = itemgetter(*positions) if len(positions) > 1 else lambda row: (row[at],)
         for row in reader:
             if len(row) < width:
                 if not row:
                     continue
+                # DictReader also names the short row's own line, even after blank rows
                 raise CorpusFormatError("row is missing columns", name, reader.line_num)
-            records.append(pick(row))
+            records.append(tuple(map(row.__getitem__, positions)))
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise CorpusFormatError(f"invalid CSV: {exc}", name, reader.line_num) from exc
     return records

@@ -251,6 +251,16 @@ def test_load_labeled_csv_row_cut_before_label(tmp_path):
         load_labeled_corpus(path, "csv")
 
 
+def test_load_csv_short_row_after_blank_rows_names_its_own_line(tmp_path):
+    text = "text,label\na,x\n\n\nb\n"
+    dict_reader = csv.DictReader(io.StringIO(text))
+    assert [dict_reader.line_num for _ in dict_reader] == [2, 5]  # not the first blank row
+    path = tmp_path / "docs.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=r"docs\.csv:5: row is missing columns$"):
+        load_labeled_corpus(path, "csv")
+
+
 @pytest.mark.parametrize("format, labeled, expected", [
     ("plain", False, {}),
     ("plain", True, {"label_field": "tag"}),
